@@ -49,7 +49,6 @@ from .wedge import (
     SubsetSumTable,
     check_lattice_convex,
     reflect_complement,
-    wedge_in_range,
     wedge_power,
 )
 
@@ -90,7 +89,6 @@ __all__ = [
     "verify_grid",
     "verify_polygon",
     "vertex_set",
-    "wedge_in_range",
     "wedge_power",
     "witness_point",
 ]

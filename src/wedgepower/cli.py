@@ -16,7 +16,7 @@ from .geometry import BudgetError, DimensionError, PointConfig, are_equivalent
 from .harness import GridSpec, is_p_good, verify_grid, verify_polygon
 from .jsonio import InputFormatError, config_to_json, dumps, read_point_config
 from .render import render_svg
-from .wedge import check_lattice_convex, wedge_in_range, wedge_power
+from .wedge import check_lattice_convex, wedge_power
 
 
 class UsageError(Exception):
@@ -52,7 +52,7 @@ def _parse_grid(text: str) -> GridSpec:
 
 def _cmd_wedge(args: argparse.Namespace) -> int:
     config = _single_input(args)
-    in_range = wedge_in_range(config, args.p)
+    in_range = 0 <= args.p <= len(config)
     if not in_range:
         print(
             f"note: no subsets of size {args.p} in a {len(config)}-point set; emitting the empty set",

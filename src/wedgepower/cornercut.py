@@ -8,7 +8,7 @@ distinct quadrant points.
 """
 
 from .geometry import PointConfig
-from .wedge import ConvexityReport, check_lattice_convex, wedge_power
+from .wedge import ConvexityReport, SubsetSumTable
 
 
 def truncated_quadrant(bound: int) -> PointConfig:
@@ -33,5 +33,4 @@ def verify_corner_cut(subset_size: int, bound: int) -> ConvexityReport:
         raise ValueError(
             f"subset size must be between 1 and {len(quadrant)} for bound {bound}"
         )
-    wedge = wedge_power(quadrant, subset_size)
-    return check_lattice_convex(wedge)
+    return SubsetSumTable(quadrant.points, subset_size, dim=2).check_convex(subset_size)

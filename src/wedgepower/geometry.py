@@ -1,11 +1,12 @@
 """Exact integer geometry for lattice point sets in dimensions 1 to 3.
 
 Everything here runs on plain Python integers and fractions: orientation
-predicates are exact cross products, polygon scanlines intersect edges in
-rational arithmetic, and hull membership is decided by an exact rational
-feasibility test.  No floating point anywhere.
+predicates are exact cross products, polygon scanlines take integer floor
+and ceiling of their edge crossings, and hull membership is decided by an
+exact rational feasibility test.  No floating point anywhere.
 """
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -65,7 +66,11 @@ class PointConfig:
         return iter(self.points)
 
     def __contains__(self, point: object) -> bool:
-        return point in set(self.points)
+        try:
+            i = bisect.bisect_left(self.points, point)
+        except TypeError:  # not comparable with integer tuples: hashing decides, as a set would
+            return point in set(self.points)
+        return i < len(self.points) and self.points[i] == point
 
     def total(self) -> Point:
         """Coordinate-wise sum of all points (the reflection pivot for complements)."""
@@ -228,6 +233,21 @@ def _adjugate(matrix: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
     raise DimensionError("adjugates supported up to 3x3")
 
 
+def _hull_ring(pts: Sequence[Point]) -> list[Point]:
+    """Strict hull corners of sorted points, counterclockwise (monotone chain)."""
+    lower: list[Point] = []
+    for p in pts:
+        while len(lower) > 1 and cross(lower[-2], lower[-1], p) <= 0:
+            lower.pop()
+        lower.append(p)
+    upper: list[Point] = []
+    for p in reversed(pts):
+        while len(upper) > 1 and cross(upper[-2], upper[-1], p) <= 0:
+            upper.pop()
+        upper.append(p)
+    return lower[:-1] + upper[:-1]
+
+
 def convex_hull_2d(config: PointConfig) -> Polytope:
     """Strict convex hull of a planar configuration via the monotone chain.
 
@@ -241,67 +261,55 @@ def convex_hull_2d(config: PointConfig) -> Polytope:
         raise ValueError("cannot take the hull of an empty configuration")
     if len(pts) == 1:
         return Polytope(2, 0, (pts[0],))
-
-    lower: list[Point] = []
-    for p in pts:
-        while len(lower) > 1 and cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper: list[Point] = []
-    for p in reversed(pts):
-        while len(upper) > 1 and cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    ring = lower[:-1] + upper[:-1]
+    ring = _hull_ring(pts)
     if len(ring) == 2 or all(cross(ring[0], ring[1], q) == 0 for q in ring[2:]):
         return Polytope(2, 1, (pts[0], pts[-1]))
     return Polytope(2, 2, tuple(ring))
 
 
-def _segment_lattice_points(a: Point, b: Point) -> list[Point]:
-    if a == b:
-        return [a]
-    diff = tuple(y - x for x, y in zip(a, b))
-    g = math.gcd(*(abs(d) for d in diff))
-    step = tuple(d // g for d in diff)
-    return [tuple(x + t * s for x, s in zip(a, step)) for t in range(g + 1)]
-
-
 def lattice_points_of_polytope(poly: Polytope) -> PointConfig:
     """All integer points inside or on the polytope, for ambient dimension <= 2.
 
-    Two-dimensional hulls are scanned row by row; the x-interval of each row
-    comes from exact rational edge intersections.
+    Planar hulls, segments and points alike, are scanned row by row with
+    integer floor and ceiling of the edge crossings.
     """
     if poly.dim_ambient > 2:
         raise DimensionError(
             "lattice point enumeration is limited to ambient dimension <= 2; "
             "use point_in_hull for membership queries in dimension 3"
         )
-    if poly.dim_intrinsic == 0:
-        return PointConfig.of(poly.vertices, dim=poly.dim_ambient)
-    if poly.dim_intrinsic == 1:
-        a, b = poly.vertices
-        return PointConfig.of(_segment_lattice_points(a, b), dim=poly.dim_ambient)
-
-    verts = poly.vertices
-    ys = [v[1] for v in verts]
-    out: list[Point] = []
-    for y in range(min(ys), max(ys) + 1):
-        xs: list[Fraction] = []
-        for a, b in zip(verts, verts[1:] + verts[:1]):
-            y0, y1 = a[1], b[1]
-            if y0 == y1:
-                if y0 == y:
-                    xs.append(Fraction(a[0]))
-                    xs.append(Fraction(b[0]))
-                continue
-            if min(y0, y1) <= y <= max(y0, y1):
-                xs.append(Fraction(a[0]) + Fraction((y - y0) * (b[0] - a[0]), y1 - y0))
-        lo = math.ceil(min(xs))
-        hi = math.floor(max(xs))
-        out.extend((x, y) for x in range(lo, hi + 1))
+    if poly.dim_ambient == 1:
+        xs = [v[0] for v in poly.vertices]
+        return PointConfig.of([(x,) for x in range(min(xs), max(xs) + 1)], dim=1)
+    first, ranges = _row_ranges(poly.vertices)
+    out = [(x, y) for y, (lo, hi) in enumerate(ranges, first) for x in range(lo, hi + 1)]
     return PointConfig.of(out, dim=2)
+
+
+def _row_ranges(ring: Sequence[Point]) -> tuple[int, list[tuple[int, int]]]:
+    """The lowest row of a hull ring, and its integer x-range [lo, hi] on each row up.
+
+    Ceiling and floor commute with min and max, so a row's range runs from
+    the least ceiling to the greatest floor of its edge crossings; lo > hi
+    marks a row without lattice points.
+    """
+    xs, ys = [x for x, _ in ring], [y for _, y in ring]
+    first = min(ys)
+    los, his = [max(xs)] * (max(ys) - first + 1), [min(xs)] * (max(ys) - first + 1)
+    for (ax, ay), (bx, by) in zip(ring, [*ring[1:], ring[0]]):
+        if ay > by:
+            ax, ay, bx, by = bx, by, ax, ay
+        dx, dy = bx - ax, by - ay
+        if dy == 0:
+            los[ay - first] = min(los[ay - first], ax, bx)
+            his[ay - first] = max(his[ay - first], ax, bx)
+            continue
+        num = ax * dy
+        for i in range(ay - first, by - first + 1):
+            los[i] = min(los[i], -(-num // dy))
+            his[i] = max(his[i], num // dy)
+            num += dx
+    return first, list(zip(los, his))
 
 
 def vertex_set(config: PointConfig) -> PointConfig:

@@ -8,21 +8,14 @@ triangles, and only at subset sizes 2 and N-2.
 """
 
 import multiprocessing
+import os
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import and_
 from typing import Optional
 
-from .geometry import (
-    BudgetError,
-    DimensionError,
-    Point,
-    PointConfig,
-    convex_hull_2d,
-    exception_index,
-    lattice_points_of_polytope,
-    remove_vertex,
-    vertex_set,
-)
-from .wedge import check_lattice_convex, wedge_power
+from .geometry import BudgetError, DimensionError, Point, PointConfig, exception_index, vertex_set
+from .wedge import SubsetSumTable, hull_fill
 
 GRID_CELL_BUDGET = 25
 
@@ -50,10 +43,6 @@ class GridSpec:
         return [(x, y) for x in range(self.width + 1) for y in range(self.height + 1)]
 
 
-def is_lattice_convex(config: PointConfig) -> bool:
-    return check_lattice_convex(config).convex
-
-
 def enumerate_lattice_convex(grid: GridSpec) -> list[PointConfig]:
     """All lattice-convex subsets of the grid, deduplicated by translation.
 
@@ -62,24 +51,32 @@ def enumerate_lattice_convex(grid: GridSpec) -> list[PointConfig]:
     point list so runs are reproducible.
     """
     cells = grid.cells()
-    seen: set[tuple[Point, ...]] = set()
-    out: list[PointConfig] = []
+    canons: set[tuple[Point, ...]] = set()
     for mask in range(1, 1 << len(cells)):
+        # cells run x-major, so bit x * (height + 1) + y of the mask is (x, y):
+        # the mask is the subset's mirror image in hull_fill's row layout, and
+        # mirroring through the diagonal keeps lattice-convexity
+        if hull_fill(mask, grid.height + 1) != mask:
+            continue
         subset = [cells[i] for i in range(len(cells)) if mask >> i & 1]
         min_x = min(p[0] for p in subset)
         min_y = min(p[1] for p in subset)
-        canon = tuple(sorted((p[0] - min_x, p[1] - min_y) for p in subset))
-        if canon in seen:
-            continue
-        seen.add(canon)
-        config = PointConfig(2, canon)
-        if is_lattice_convex(config):
-            out.append(config)
-    out.sort(key=lambda c: (len(c), c.points))
-    return out
+        canons.add(tuple(sorted((p[0] - min_x, p[1] - min_y) for p in subset)))
+    return sorted((PointConfig(2, c) for c in canons), key=lambda c: (len(c), c.points))
 
 
-def is_p_good(config: PointConfig, subset_size: int) -> Optional[Point]:
+# A configuration's table and one per hull-vertex deletion, in one box, so that
+# wedges compare with integer AND and OR; the checks below can share one set.
+_Tables = tuple[SubsetSumTable, list[SubsetSumTable]]
+
+
+def _tables(config: PointConfig, depth: int, deletion_depth: int) -> _Tables:
+    base = SubsetSumTable(config.points, depth, dim=config.dim)
+    rests = ([q for q in config.points if q != v] for v in vertex_set(config))
+    return base, [SubsetSumTable(r, deletion_depth, dim=config.dim, box=base) for r in rests]
+
+
+def is_p_good(config: PointConfig, subset_size: int, tables: Optional[_Tables] = None) -> Optional[Point]:
     """A common point of the size-``subset_size`` wedges of all one-vertex deletions.
 
     Returns the canonically smallest witness, or None when the intersection
@@ -89,22 +86,12 @@ def is_p_good(config: PointConfig, subset_size: int) -> Optional[Point]:
         raise ValueError("p-goodness needs at least two points")
     if not 1 <= subset_size <= len(config) - 1:
         raise ValueError("subset size must be between 1 and N-1")
-    common: Optional[set[Point]] = None
-    for v in vertex_set(config):
-        wedge = set(wedge_power(remove_vertex(config, v), subset_size).points)
-        common = wedge if common is None else common & wedge
-        if not common:
-            return None
-    return min(common) if common else None
+    base, deletions = tables or _tables(config, subset_size, subset_size)
+    common = reduce(and_, (table.layer(subset_size) for table in deletions))
+    return min(base.points_of(common)) if common else None
 
 
-def _hull_lattice_points(config: PointConfig) -> set[Point]:
-    if len(config) == 0:
-        return set()
-    return set(lattice_points_of_polytope(convex_hull_2d(config)).points)
-
-
-def union_decomposition_holds(config: PointConfig, subset_size: int) -> bool:
+def union_decomposition_holds(config: PointConfig, subset_size: int, tables: Optional[_Tables] = None) -> bool:
     """Does the hull of the wedge decompose into the hulls of the deleted-vertex wedges?
 
     Checked at lattice level: every lattice point of conv of the full wedge
@@ -112,13 +99,15 @@ def union_decomposition_holds(config: PointConfig, subset_size: int) -> bool:
     """
     if not 1 <= subset_size <= len(config):
         raise ValueError("subset size must be between 1 and N")
-    whole = _hull_lattice_points(wedge_power(config, subset_size))
-    covered: set[Point] = set()
-    for v in vertex_set(config):
-        covered |= _hull_lattice_points(wedge_power(remove_vertex(config, v), subset_size))
-        if whole <= covered:
+    if config.dim != 2:
+        raise DimensionError("union decomposition is checked for planar configurations")
+    base, deletions = tables or _tables(config, subset_size, min(subset_size, len(config) - 1))
+    whole, covered = base.hull_fill(subset_size), 0
+    for table in deletions:
+        covered |= table.hull_fill(subset_size)
+        if not whole & ~covered:
             return True
-    return whole <= covered
+    return False
 
 
 @dataclass(frozen=True)
@@ -148,19 +137,20 @@ class TheoremReport:
         }
 
 
-def verify_polygon(config: PointConfig) -> TheoremReport:
+def verify_polygon(config: PointConfig, tables: Optional[_Tables] = None) -> TheoremReport:
     """Check lattice-convexity of every wedge power of one configuration.
 
     Conforming behaviour is: convex everywhere for ordinary configurations,
     and non-convex exactly at sizes 2 and N-2 for configurations equivalent
-    to an exceptional triangle.
+    to an exceptional triangle.  Every size is read from one depth-N table.
     """
     if config.dim != 2:
         raise DimensionError("verify_polygon expects a planar configuration")
     n = len(config)
+    table = tables[0] if tables else SubsetSumTable(config.points, n, dim=2)
     per_size = []
     for p in range(n + 1):
-        report = check_lattice_convex(wedge_power(config, p))
+        report = table.check_convex(p)
         per_size.append((p, report.convex, report.missing.points))
     k = exception_index(config)
     failures = {p for p, convex, _ in per_size if not convex}
@@ -202,15 +192,16 @@ class GridSummary:
 
 def _examine_config(config: PointConfig) -> tuple[PointConfig, Optional[int], list[tuple[str, Optional[int]]]]:
     problems: list[tuple[str, Optional[int]]] = []
-    report = verify_polygon(config)
+    n = len(config)
+    tables = _tables(config, n, n // 2)
+    report = verify_polygon(config, tables)
     if report.verdict != "conforms":
         problems.append(("wedge-convexity", None))
-    n = len(config)
     for p in range(1, n // 2 + 1):
-        good = is_p_good(config, p) is not None
+        good = is_p_good(config, p, tables) is not None
         if n >= 5 and not good:
             problems.append(("not-p-good", p))
-        if n >= 4 and good and not union_decomposition_holds(config, p):
+        if n >= 4 and good and not union_decomposition_holds(config, p, tables):
             problems.append(("union-decomposition", p))
     return config, report.exception_k, problems
 
@@ -218,9 +209,12 @@ def _examine_config(config: PointConfig) -> tuple[PointConfig, Optional[int], li
 def verify_grid(grid: GridSpec, jobs: int = 1) -> GridSummary:
     """Run verify_polygon plus the goodness and decomposition checks over a grid.
 
-    The per-configuration work is independent, so it can be spread over
-    worker processes; the summary does not depend on the worker count.
+    The per-configuration work is independent, so it can be spread over 1 to
+    os.cpu_count() worker processes; the summary does not depend on their count.
     """
+    cpus = os.cpu_count() or 1
+    if not 1 <= jobs <= cpus:
+        raise ValueError(f"jobs must be between 1 and the CPU count ({cpus}), got {jobs}")
     configs = enumerate_lattice_convex(grid)
     if jobs > 1:
         with multiprocessing.Pool(jobs) as pool:

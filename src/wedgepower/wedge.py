@@ -16,14 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .geometry import (
-    BudgetError,
-    DimensionError,
-    Point,
-    PointConfig,
-    convex_hull_2d,
-    lattice_points_of_polytope,
-)
+from .geometry import BudgetError, DimensionError, Point, PointConfig, _hull_ring, _row_ranges
 
 NAIVE_SUBSET_LIMIT = 10_000_000
 
@@ -38,9 +31,12 @@ class SubsetSumTable:
     into a neighbouring row.  Layer bitsets live in arbitrary-precision
     integers: shifting by a point's flattened offset adds that point to
     every sum of the layer below in one operation.
+
+    Passing another table as ``box`` builds in that table's (large enough)
+    box instead: a bit then means the same point in both tables.
     """
 
-    def __init__(self, points: Sequence[Point], depth: int, dim: Optional[int] = None):
+    def __init__(self, points: Sequence[Point], depth: int, dim: Optional[int] = None, box=None):
         points = list(points)
         if depth < 0:
             raise ValueError("depth must be nonnegative")
@@ -59,6 +55,10 @@ class SubsetSumTable:
             lows = highs = [0] * self.dim
         self.box_lo = tuple(min(0, depth * lo) for lo in lows)
         self.box_hi = tuple(max(0, depth * hi) for hi in highs)
+        if box is not None:
+            if box.dim != self.dim or not (box._in_box(self.box_lo) and box._in_box(self.box_hi)):
+                raise ValueError("the given box does not hold every sum this table needs")
+            self.box_lo, self.box_hi = box.box_lo, box.box_hi
         shape = [hi - lo + 1 for lo, hi in zip(self.box_lo, self.box_hi)]
         strides = [1] * self.dim
         for d in range(1, self.dim):
@@ -95,10 +95,34 @@ class SubsetSumTable:
     def count(self, size: int) -> int:
         return self._layers[size].bit_count()
 
+    def layer(self, size: int) -> int:
+        """The bitset of sums of exactly ``size`` points; 0 beyond the depth."""
+        return self._layers[size] if 0 <= size <= self.depth else 0
+
+    def hull_fill(self, size: int) -> int:
+        """The lattice points of the hull of one layer of a planar table, as a bitset."""
+        return hull_fill(self.layer(size), self._shape[0])
+
+    def check_convex(self, size: int) -> "ConvexityReport":
+        """Lattice-convexity of one layer of a table of dimension 1 or 2."""
+        if self.dim > 2:
+            raise DimensionError("layer convexity is decided in dimension <= 2 only")
+        layer = self.layer(size)
+        missing = self.hull_fill(size) & ~layer
+        points = PointConfig.of(self.points_of(missing), dim=self.dim)
+        return ConvexityReport(not missing, points, layer.bit_count())
+
+    def points_of(self, bits: int) -> list[Point]:
+        """The points of a bitset laid out in this table's box."""
+        return list(map(tuple, self._unpack(bits).tolist()))
+
     def coords(self, size: int) -> np.ndarray:
         """All sums of ``size`` distinct points as an (n, dim) int64 array."""
+        return self._unpack(self._layers[size])
+
+    def _unpack(self, layer: int) -> np.ndarray:
         nbytes = (self.total_cells + 7) // 8
-        raw = self._layers[size].to_bytes(nbytes, "little")
+        raw = layer.to_bytes(nbytes, "little")
         bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
         flat = np.flatnonzero(bits[: self.total_cells]).astype(np.int64)
         out = np.empty((flat.size, self.dim), dtype=np.int64)
@@ -109,7 +133,7 @@ class SubsetSumTable:
         return out
 
     def points_at(self, size: int) -> list[Point]:
-        return [tuple(int(c) for c in row) for row in self.coords(size)]
+        return list(map(tuple, self.coords(size).tolist()))
 
     def digest(self, size: int) -> str:
         """Stable fingerprint of one layer, for regression comparisons."""
@@ -120,11 +144,6 @@ class SubsetSumTable:
         return h.hexdigest()
 
 
-def wedge_in_range(base: PointConfig, subset_size: int) -> bool:
-    """Whether any subset of the requested size exists at all."""
-    return 0 <= subset_size <= len(base)
-
-
 def wedge_power(base: PointConfig, subset_size: int, method: str = "dp") -> PointConfig:
     """The set of sums of all ``subset_size``-element subsets of ``base``.
 
@@ -133,7 +152,7 @@ def wedge_power(base: PointConfig, subset_size: int, method: str = "dp") -> Poin
     interchangeable: "dp" runs the layered bitset table, "naive" enumerates
     subsets directly and refuses beyond NAIVE_SUBSET_LIMIT of them.
     """
-    if not wedge_in_range(base, subset_size):
+    if not 0 <= subset_size <= len(base):
         return PointConfig.of([], dim=base.dim)
     if method == "dp":
         table = SubsetSumTable(base.points, subset_size, dim=base.dim)
@@ -174,6 +193,30 @@ class ConvexityReport:
         }
 
 
+def hull_fill(layer: int, width: int) -> int:
+    """The lattice points of the convex hull of a planar bitset, as a bitset.
+
+    Bit ``x + y * width`` is the point (x, y); only the lowest and highest
+    set bit of a row can be a hull corner.  ``fill & ~layer`` is what is missing.
+    """
+    if not layer:
+        return 0
+    first = ((layer & -layer).bit_length() - 1) // width
+    last = (layer.bit_length() - 1) // width
+    full = (1 << width) - 1
+    ends = set()
+    for y in range(first, last + 1):
+        row = (layer >> (y * width)) & full
+        if row:
+            ends.add(((row & -row).bit_length() - 1, y))
+            ends.add((row.bit_length() - 1, y))
+    first, ranges = _row_ranges(_hull_ring(sorted(ends)) or list(ends))
+    fill = 0
+    for y, (lo, hi) in enumerate(ranges, first):
+        fill |= ((1 << (hi - lo + 1)) - 1) << (y * width + lo)
+    return fill
+
+
 def check_lattice_convex(config: PointConfig) -> ConvexityReport:
     """Is the set exactly the lattice points of its own convex hull?"""
     if config.dim > 2:
@@ -183,14 +226,11 @@ def check_lattice_convex(config: PointConfig) -> ConvexityReport:
         )
     if len(config) == 0:
         raise ValueError("cannot check an empty configuration")
-    if config.dim == 1:
-        lo, hi = config.points[0][0], config.points[-1][0]
-        hull_points = PointConfig.of([(x,) for x in range(lo, hi + 1)], dim=1)
-    else:
-        hull_points = lattice_points_of_polytope(convex_hull_2d(config))
-    present = set(config.points)
-    missing = PointConfig.of([p for p in hull_points if p not in present], dim=config.dim)
-    return ConvexityReport(len(missing) == 0, missing, len(config))
+    # moved to its minimum corner, the set is the size-1 layer of a table over its bounding box
+    corner = tuple(map(min, zip(*config.points)))
+    moved = config.translate(tuple(-c for c in corner))
+    report = SubsetSumTable(moved.points, 1, dim=config.dim).check_convex(1)
+    return ConvexityReport(report.convex, report.missing.translate(corner), report.cardinality)
 
 
 def reflect_complement(base: PointConfig, subset_size: int) -> PointConfig:

@@ -3,12 +3,28 @@
 These deliberately avoid the library's algorithms: hull membership goes
 through exhaustive point/segment/triangle checks, lattice point sets come
 from bounding-box filtering, and wedge sets from direct subset enumeration.
+
+The tuple-path references further down keep the library's earlier
+implementations of the convexity, goodness and decomposition checks, which
+materialise every wedge as points and scan hull rows in ``Fraction``
+arithmetic; the bitset code is tested against them.
 """
 
 import itertools
+import math
 import random
+from fractions import Fraction
 
-from wedgepower import AffineUnimodularMap
+from wedgepower import (
+    AffineUnimodularMap,
+    ConvexityReport,
+    DimensionError,
+    PointConfig,
+    convex_hull_2d,
+    remove_vertex,
+    vertex_set,
+    wedge_power,
+)
 
 
 def _cross(o, a, b):
@@ -77,3 +93,114 @@ def random_unimodular(rng: random.Random, radius: int = 3, shift: int = 4) -> Af
         if a * d - b * c in (1, -1):
             t = (rng.randint(-shift, shift), rng.randint(-shift, shift))
             return AffineUnimodularMap(((a, b), (c, d)), t)
+
+
+# --- tuple-path references -------------------------------------------------
+
+
+def fraction_polygon_lattice_points(vertices):
+    """Lattice points of a counterclockwise polygon, rows cut in Fraction arithmetic."""
+    verts = list(vertices)
+    ys = [v[1] for v in verts]
+    out = []
+    for y in range(min(ys), max(ys) + 1):
+        xs = []
+        for a, b in zip(verts, verts[1:] + verts[:1]):
+            y0, y1 = a[1], b[1]
+            if y0 == y1:
+                if y0 == y:
+                    xs.append(Fraction(a[0]))
+                    xs.append(Fraction(b[0]))
+                continue
+            if min(y0, y1) <= y <= max(y0, y1):
+                xs.append(Fraction(a[0]) + Fraction((y - y0) * (b[0] - a[0]), y1 - y0))
+        lo = math.ceil(min(xs))
+        hi = math.floor(max(xs))
+        out.extend((x, y) for x in range(lo, hi + 1))
+    return PointConfig.of(out, dim=2)
+
+
+def _segment_points(a, b):
+    if a == b:
+        return [a]
+    diff = tuple(y - x for x, y in zip(a, b))
+    g = math.gcd(*(abs(d) for d in diff))
+    step = tuple(d // g for d in diff)
+    return [tuple(x + t * s for x, s in zip(a, step)) for t in range(g + 1)]
+
+
+def tuple_hull_points(config):
+    """Lattice points of conv(config) for a nonempty planar configuration."""
+    poly = convex_hull_2d(config)
+    if poly.dim_intrinsic == 0:
+        return PointConfig.of(poly.vertices, dim=2)
+    if poly.dim_intrinsic == 1:
+        return PointConfig.of(_segment_points(*poly.vertices), dim=2)
+    return fraction_polygon_lattice_points(poly.vertices)
+
+
+def check_lattice_convex(config):
+    if config.dim > 2:
+        raise DimensionError("lattice-convexity decisions are limited to dimension <= 2")
+    if len(config) == 0:
+        raise ValueError("cannot check an empty configuration")
+    if config.dim == 1:
+        lo, hi = config.points[0][0], config.points[-1][0]
+        hull_points = PointConfig.of([(x,) for x in range(lo, hi + 1)], dim=1)
+    else:
+        hull_points = tuple_hull_points(config)
+    present = set(config.points)
+    missing = PointConfig.of([p for p in hull_points if p not in present], dim=config.dim)
+    return ConvexityReport(len(missing) == 0, missing, len(config))
+
+
+def is_p_good(config, subset_size):
+    if len(config) < 2:
+        raise ValueError("p-goodness needs at least two points")
+    if not 1 <= subset_size <= len(config) - 1:
+        raise ValueError("subset size must be between 1 and N-1")
+    common = None
+    for v in vertex_set(config):
+        wedge = set(wedge_power(remove_vertex(config, v), subset_size).points)
+        common = wedge if common is None else common & wedge
+        if not common:
+            return None
+    return min(common) if common else None
+
+
+def _hull_lattice_point_set(config):
+    if len(config) == 0:
+        return set()
+    return set(tuple_hull_points(config).points)
+
+
+def union_decomposition_holds(config, subset_size):
+    if not 1 <= subset_size <= len(config):
+        raise ValueError("subset size must be between 1 and N")
+    whole = _hull_lattice_point_set(wedge_power(config, subset_size))
+    covered = set()
+    for v in vertex_set(config):
+        covered |= _hull_lattice_point_set(wedge_power(remove_vertex(config, v), subset_size))
+        if whole <= covered:
+            return True
+    return whole <= covered
+
+
+def enumerate_lattice_convex(grid):
+    """Translation classes of lattice-convex grid subsets, by the mask loop."""
+    cells = grid.cells()
+    seen = set()
+    out = []
+    for mask in range(1, 1 << len(cells)):
+        subset = [cells[i] for i in range(len(cells)) if mask >> i & 1]
+        min_x = min(p[0] for p in subset)
+        min_y = min(p[1] for p in subset)
+        canon = tuple(sorted((p[0] - min_x, p[1] - min_y) for p in subset))
+        if canon in seen:
+            continue
+        seen.add(canon)
+        config = PointConfig(2, canon)
+        if check_lattice_convex(config).convex:
+            out.append(config)
+    out.sort(key=lambda c: (len(c), c.points))
+    return out

@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -80,6 +81,13 @@ class TestVerificationCommands:
         _, sequential, _ = run(capsys, "verify-grid", "--grid", "2x1")
         _, parallel, _ = run(capsys, "verify-grid", "--grid", "2x1", "--jobs", "2")
         assert sequential == parallel
+
+    @pytest.mark.parametrize("jobs", [0, -1, (os.cpu_count() or 1) + 1])
+    def test_verify_grid_jobs_out_of_range(self, capsys, jobs):
+        code, out, err = run(capsys, "verify-grid", "--grid", "1x1", "--jobs", jobs)
+        assert code == 1
+        assert out == ""
+        assert "jobs must be between 1 and the CPU count" in err
 
     def test_p_good_exit_codes(self, capsys, e1_file, tmp_path):
         code, out, _ = run(capsys, "p-good", "--input", e1_file, "-p", "2")

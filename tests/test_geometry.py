@@ -101,6 +101,39 @@ class TestLatticePoints:
         hull = convex_hull_2d(PointConfig.of(raw))
         assert list(lattice_points_of_polytope(hull)) == oracles.hull_lattice_points(raw)
 
+    @given(
+        st.tuples(st.integers(-10**9, 10**9), st.integers(-10**9, 10**9)),
+        st.lists(st.tuples(st.integers(-30, 30), st.integers(-30, 30)), min_size=3, max_size=7),
+    )
+    def test_integer_rows_match_fraction_rows(self, corner, raw):
+        hull = convex_hull_2d(PointConfig.of((corner[0] + x, corner[1] + y) for x, y in raw))
+        if hull.dim_intrinsic == 2:
+            expected = oracles.fraction_polygon_lattice_points(hull.vertices)
+            assert lattice_points_of_polytope(hull) == expected
+
+
+class TestMembership:
+    @given(
+        st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), max_size=6),
+        st.one_of(
+            st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+            st.tuples(st.integers(-3, 3)),
+            st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(-3, 3)),
+            st.tuples(st.floats(-3, 3), st.integers(-3, 3)),
+            st.tuples(st.text(max_size=1), st.integers(-3, 3)),
+            st.tuples(st.none(), st.none()),
+            st.just(()),
+        ),
+    )
+    def test_agrees_with_set_membership(self, raw, query):
+        config = PointConfig.of(raw, dim=2)
+        assert (query in config) == (query in set(config.points))
+
+    def test_unhashable_query_still_raises(self):
+        config = PointConfig.of([(0, 0), (1, 1)])
+        with pytest.raises(TypeError):
+            ([0], 0) in config
+
 
 class TestVertexSet:
     def test_interior_point_dropped(self):

@@ -1,4 +1,5 @@
 import itertools
+import os
 
 import pytest
 
@@ -164,6 +165,12 @@ class TestVerifyGrid:
         sequential = verify_grid(GridSpec(2, 1))
         parallel = verify_grid(GridSpec(2, 1), jobs=2)
         assert sequential.to_json() == parallel.to_json()
+
+    @pytest.mark.parametrize("jobs", [0, -1, (os.cpu_count() or 1) + 1])
+    def test_worker_count_out_of_range_is_rejected(self, jobs):
+        # rejected before enumeration, so no worker pool is ever started
+        with pytest.raises(ValueError, match="jobs must be between 1 and the CPU count"):
+            verify_grid(GridSpec(1, 1), jobs=jobs)
 
     def test_summary_json_shape(self):
         payload = verify_grid(GridSpec(1, 1)).to_json()

@@ -16,7 +16,6 @@ from wedgepower import (
     exceptional_triangle,
     point_in_hull,
     reflect_complement,
-    wedge_in_range,
     wedge_power,
 )
 
@@ -56,7 +55,6 @@ class TestWedgePower:
 
     def test_out_of_range_gives_empty(self):
         config = PointConfig.of([(0, 0), (1, 1)])
-        assert not wedge_in_range(config, 3)
         assert len(wedge_power(config, 3)) == 0
         assert len(wedge_power(config, -1)) == 0
         assert wedge_power(config, 3).dim == 2
@@ -213,6 +211,25 @@ class TestSubsetSumTable:
                 assert table.contains(size, point)
         assert not table.contains(2, (50, 50))
         assert not table.contains(4, (0, 0))
+
+    def test_tables_share_a_given_box(self):
+        pts = [(0, 0), (1, 0), (0, 1), (2, -1), (-1, 2)]
+        base = SubsetSumTable(pts, len(pts))
+        for drop in pts:
+            rest = [q for q in pts if q != drop]
+            inside = SubsetSumTable(rest, 2, box=base)
+            alone = SubsetSumTable(rest, 2)
+            assert (inside.box_lo, inside.box_hi) == (base.box_lo, base.box_hi)
+            for size in range(4):
+                assert sorted(inside.points_of(inside.layer(size))) == sorted(
+                    alone.points_of(alone.layer(size))
+                )
+        assert base.layer(len(pts) + 1) == 0
+
+    def test_too_small_box_is_refused(self):
+        small = SubsetSumTable([(0, 0), (1, 1)], 1)
+        with pytest.raises(ValueError, match="box"):
+            SubsetSumTable([(0, 0), (1, 1), (2, 0)], 2, box=small)
 
     def test_digest_is_deterministic(self):
         pts = [(0, 0, 0), (1, 2, 0), (0, 1, 1), (2, 0, 1)]
