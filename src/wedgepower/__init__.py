@@ -31,6 +31,7 @@ from .geometry import (
     exception_index,
     exceptional_triangle,
     lattice_points_of_polytope,
+    normal_form,
     point_in_hull,
     remove_vertex,
     vertex_set,
@@ -77,6 +78,7 @@ __all__ = [
     "exceptional_triangle",
     "is_p_good",
     "lattice_points_of_polytope",
+    "normal_form",
     "plane_coordinates",
     "point_in_hull",
     "quadrant_points_below",

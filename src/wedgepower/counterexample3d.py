@@ -51,7 +51,8 @@ class ColoredSimplex:
         return tuple(p for p in self.on_level if p != self.plane_center)
 
 
-def _primitive_normal(a: Point, b: Point, c: Point) -> tuple[int, ...]:
+def _plane_normal(a: Point, b: Point, c: Point) -> Optional[tuple[int, ...]]:
+    """The cross product of b - a and c - a divided by its gcd; None if the points are collinear."""
     u = tuple(y - x for x, y in zip(a, b))
     v = tuple(y - x for x, y in zip(a, c))
     n = (
@@ -59,8 +60,12 @@ def _primitive_normal(a: Point, b: Point, c: Point) -> tuple[int, ...]:
         u[2] * v[0] - u[0] * v[2],
         u[0] * v[1] - u[1] * v[0],
     )
-    g = math.gcd(*(abs(x) for x in n))
-    n = tuple(x // g for x in n)
+    g = math.gcd(*n)
+    return tuple(x // g for x in n) if g else None
+
+
+def _primitive_normal(a: Point, b: Point, c: Point) -> tuple[int, ...]:
+    n = _plane_normal(a, b, c)
     return n if n > (0, 0, 0) else tuple(-x for x in n)
 
 
@@ -240,19 +245,8 @@ def plane_coordinates(config: PointConfig) -> PointConfig:
     if config.dim != 3 or len(pts) < 3:
         raise ValueError("need at least three points in ambient dimension 3")
     base = pts[0]
-    normal = None
-    for b, c in itertools.combinations(pts[1:], 2):
-        u = tuple(y - x for x, y in zip(base, b))
-        v = tuple(y - x for x, y in zip(base, c))
-        n = (
-            u[1] * v[2] - u[2] * v[1],
-            u[2] * v[0] - u[0] * v[2],
-            u[0] * v[1] - u[1] * v[0],
-        )
-        if any(n):
-            g = math.gcd(*(abs(x) for x in n))
-            normal = tuple(x // g for x in n)
-            break
+    normals = (_plane_normal(base, b, c) for b, c in itertools.combinations(pts[1:], 2))
+    normal = next((n for n in normals if n is not None), None)
     if normal is None:
         raise ValueError("points are collinear, not a plane")
     level = sum(n * c for n, c in zip(normal, base))

@@ -11,6 +11,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Iterator, Optional, Sequence
 
 Point = tuple[int, ...]
@@ -473,6 +474,41 @@ def are_equivalent(source: PointConfig, target: PointConfig) -> Optional[AffineU
     return None
 
 
+def normal_form(config: PointConfig) -> tuple[Point, ...]:
+    """A canonical member of the affine unimodular class of a planar configuration.
+
+    Two configurations are equivalent exactly when their normal forms are
+    equal.  Each strict hull corner, walked either way round, fixes one
+    lattice map: the corner goes to the origin, its outgoing edge along the
+    positive x-axis with the set above it, and the remaining shear puts the
+    incoming neighbour (a, b) at (a mod b, b).  The normal form is the least
+    sorted image over these maps; a collinear set becomes the lesser of its
+    two gap patterns along the x-axis, and a single point the origin.
+    """
+    if config.dim != 2:
+        raise DimensionError("normal forms are for planar configurations")
+    pts = config.points
+    if len(pts) < 2:
+        return ((0, 0),) * len(pts)
+    ring = _hull_ring(pts)
+    if len(ring) == 2:
+        params = _line_parameters(pts)[2]
+        return tuple((t, 0) for t in min(params, sorted(params[-1] - t for t in params)))
+    candidates = []
+    for i, (vx, vy) in enumerate(ring):
+        for turn in (1, -1):
+            (ax, ay), (bx, by) = ring[(i + turn) % len(ring)], ring[(i - turn) % len(ring)]
+            g, s, t = _xgcd(ax - vx, ay - vy)
+            # rows (s, t) and (ux, uy) send the edge's primitive step to (1, 0) and the set to
+            # y >= 0; adding k times row two to row one moves the neighbour to x in [0, height)
+            ux, uy = turn * (vy - ay) // g, turn * (ax - vx) // g
+            k = -((s * (bx - vx) + t * (by - vy)) // (ux * (bx - vx) + uy * (by - vy)))
+            s, t = s + k * ux, t + k * uy
+            moved = ((x - vx, y - vy) for x, y in pts)
+            candidates.append(sorted((s * x + t * y, ux * x + uy * y) for x, y in moved))
+    return tuple(min(candidates))
+
+
 def exceptional_triangle(index: int) -> PointConfig:
     """Lattice points of the triangle conv{(0,1), (index,0), (-1,-1)}.
 
@@ -491,16 +527,19 @@ def exception_index(config: PointConfig) -> Optional[int]:
     """The index k if ``config`` is equivalent to the k-th exceptional triangle, else None.
 
     Only one k can possibly match a given configuration (the triangle with
-    index k has exactly k+3 points), so a single equivalence search decides.
+    index k has exactly k+3 points), so comparing two normal forms decides.
     """
     if config.dim != 2:
         raise DimensionError("exception detection is for planar configurations")
     k = len(config) - 3
     if k < 1:
         return None
-    if are_equivalent(config, exceptional_triangle(k)) is not None:
-        return k
-    return None
+    return k if normal_form(config) == _exceptional_normal_form(k) else None
+
+
+@lru_cache(maxsize=64)
+def _exceptional_normal_form(index: int) -> tuple[Point, ...]:
+    return normal_form(exceptional_triangle(index))
 
 
 def point_in_hull(config: PointConfig, point: Sequence[int]) -> bool:

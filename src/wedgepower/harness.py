@@ -1,10 +1,11 @@
 """Exhaustive verification of wedge-power convexity over small grids.
 
 Enumerates every lattice-convex subset of a rectangular grid (up to
-translation), runs the full battery of convexity checks on each, and
-reduces the results to a summary whose violation list is expected to stay
-empty: non-convex wedge powers may appear only for the exceptional
-triangles, and only at subset sizes 2 and N-2.
+translation), runs the full battery of convexity checks on one member of
+each affine unimodular orbit, and reduces the results to a summary whose
+violation list is expected to stay empty: non-convex wedge powers may
+appear only for the exceptional triangles, and only at subset sizes 2 and
+N-2.
 """
 
 import multiprocessing
@@ -14,7 +15,7 @@ from functools import reduce
 from operator import and_
 from typing import Optional
 
-from .geometry import BudgetError, DimensionError, Point, PointConfig, exception_index, vertex_set
+from .geometry import BudgetError, DimensionError, Point, PointConfig, exception_index, normal_form, vertex_set
 from .wedge import SubsetSumTable, hull_fill
 
 GRID_CELL_BUDGET = 25
@@ -190,7 +191,7 @@ class GridSummary:
         }
 
 
-def _examine_config(config: PointConfig) -> tuple[PointConfig, Optional[int], list[tuple[str, Optional[int]]]]:
+def _examine_config(config: PointConfig) -> tuple[Optional[int], list[tuple[str, Optional[int]]]]:
     problems: list[tuple[str, Optional[int]]] = []
     n = len(config)
     tables = _tables(config, n, n // 2)
@@ -203,27 +204,36 @@ def _examine_config(config: PointConfig) -> tuple[PointConfig, Optional[int], li
             problems.append(("not-p-good", p))
         if n >= 4 and good and not union_decomposition_holds(config, p, tables):
             problems.append(("union-decomposition", p))
-    return config, report.exception_k, problems
+    return report.exception_k, problems
 
 
 def verify_grid(grid: GridSpec, jobs: int = 1) -> GridSummary:
     """Run verify_polygon plus the goodness and decomposition checks over a grid.
 
-    The per-configuration work is independent, so it can be spread over 1 to
-    os.cpu_count() worker processes; the summary does not depend on their count.
+    Every check is invariant under affine unimodular maps, so one
+    representative per orbit (the first configuration with its normal form)
+    is examined and its outcome counted for every member.  That work can be
+    spread over 1 to os.cpu_count() worker processes; the summary does not
+    depend on their count.
     """
     cpus = os.cpu_count() or 1
     if not 1 <= jobs <= cpus:
         raise ValueError(f"jobs must be between 1 and the CPU count ({cpus}), got {jobs}")
     configs = enumerate_lattice_convex(grid)
+    forms = [normal_form(c) for c in configs]
+    representatives: dict[tuple[Point, ...], PointConfig] = {}
+    for form, config in zip(forms, configs):
+        representatives.setdefault(form, config)
     if jobs > 1:
         with multiprocessing.Pool(jobs) as pool:
-            results = pool.map(_examine_config, configs)
+            results = pool.map(_examine_config, representatives.values())
     else:
-        results = [_examine_config(c) for c in configs]
+        results = [_examine_config(c) for c in representatives.values()]
+    outcome = dict(zip(representatives, results))
 
     summary = GridSummary(grid, len(configs))
-    for config, k, problems in sorted(results, key=lambda r: (len(r[0]), r[0].points)):
+    for config, form in zip(configs, forms):  # sorted by size, then by points
+        k, problems = outcome[form]
         if k is not None:
             summary.exceptions_seen[k] = summary.exceptions_seen.get(k, 0) + 1
         for kind, p in problems:

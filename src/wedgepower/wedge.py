@@ -19,6 +19,7 @@ import numpy as np
 from .geometry import BudgetError, DimensionError, Point, PointConfig, _hull_ring, _row_ranges
 
 NAIVE_SUBSET_LIMIT = 10_000_000
+TABLE_BIT_BUDGET = 1 << 33  # cells times layers of one SubsetSumTable: 1 GiB of bitsets
 
 
 class SubsetSumTable:
@@ -33,7 +34,9 @@ class SubsetSumTable:
     every sum of the layer below in one operation.
 
     Passing another table as ``box`` builds in that table's (large enough)
-    box instead: a bit then means the same point in both tables.
+    box instead: a bit then means the same point in both tables.  A table
+    of more than TABLE_BIT_BUDGET bits (cells times depth + 1 layers) is
+    refused with BudgetError before anything is allocated.
     """
 
     def __init__(self, points: Sequence[Point], depth: int, dim: Optional[int] = None, box=None):
@@ -66,6 +69,11 @@ class SubsetSumTable:
         self._shape = tuple(shape)
         self._strides = tuple(strides)
         self.total_cells = strides[-1] * shape[-1]
+        if self.total_cells * (depth + 1) > TABLE_BIT_BUDGET:
+            raise BudgetError(
+                f"subset-sum table needs {self.total_cells} cells x {depth + 1} layers, "
+                f"above the table budget of {TABLE_BIT_BUDGET} bits"
+            )
 
         layers = [0] * (depth + 1)
         layers[0] = 1 << self._flatten((0,) * self.dim)

@@ -7,7 +7,9 @@ from bounding-box filtering, and wedge sets from direct subset enumeration.
 The tuple-path references further down keep the library's earlier
 implementations of the convexity, goodness and decomposition checks, which
 materialise every wedge as points and scan hull rows in ``Fraction``
-arithmetic; the bitset code is tested against them.
+arithmetic; the bitset code is tested against them.  The earlier exception
+detection, one equivalence search against the candidate triangle, is kept
+there too as the reference for the normal-form comparison.
 """
 
 import itertools
@@ -20,7 +22,9 @@ from wedgepower import (
     ConvexityReport,
     DimensionError,
     PointConfig,
+    are_equivalent,
     convex_hull_2d,
+    exceptional_triangle,
     remove_vertex,
     vertex_set,
     wedge_power,
@@ -204,3 +208,15 @@ def enumerate_lattice_convex(grid):
             out.append(config)
     out.sort(key=lambda c: (len(c), c.points))
     return out
+
+
+def exception_index(config):
+    """The k-th exceptional triangle's index if ``config`` is equivalent to it, by search."""
+    if config.dim != 2:
+        raise DimensionError("exception detection is for planar configurations")
+    k = len(config) - 3
+    if k < 1:
+        return None
+    if are_equivalent(config, exceptional_triangle(k)) is not None:
+        return k
+    return None

@@ -61,6 +61,13 @@ class TestWedgeCommand:
         assert code == 1
         assert "limit" in err
 
+    def test_table_budget_exceeded(self, capsys, tmp_path):
+        far = tmp_path / "far.json"
+        far.write_text(json.dumps({"dim": 3, "points": [[10000, 0, 0], [0, 9999, 1], [1, 2, 10000]]}))
+        code, out, err = run(capsys, "wedge", "--input", far, "-p", "3")
+        assert (code, out) == (1, "")
+        assert "table budget" in err
+
 
 class TestVerificationCommands:
     def test_verify_polygon_conforms(self, capsys, e1_file):

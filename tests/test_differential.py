@@ -1,25 +1,38 @@
-"""The bitset checks against the tuple-path references in ``oracles``.
+"""The bitset checks and the normal form against the references in ``oracles``.
 
 Convexity, p-goodness and union decomposition are decided on the big
 integers of shared subset-sum tables; every answer, down to the missing
 points and the p-goodness witness, must equal what the earlier
-point-by-point implementations give.
+point-by-point implementations give.  Unimodular equivalence is decided by
+comparing normal forms; it must agree with the equivalence search, and the
+grid run's orbit reduction must report what examining every member would.
 """
+
+import random
+from functools import reduce
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from wedgepower import (
+    AffineUnimodularMap,
     GridSpec,
     PointConfig,
+    apply_map,
+    are_equivalent,
     check_lattice_convex,
     enumerate_lattice_convex,
+    exception_index,
+    exceptional_triangle,
     is_p_good,
+    normal_form,
     union_decomposition_holds,
+    verify_grid,
     verify_polygon,
     wedge_power,
 )
+from wedgepower import harness
 from wedgepower.wedge import hull_fill
 
 import oracles
@@ -114,3 +127,92 @@ def test_check_lattice_convex_in_dimension_1(xs):
     report = check_lattice_convex(config)
     assert report == oracles.check_lattice_convex(config)
     assert report.missing.points == tuple((x,) for x in range(min(xs), max(xs) + 1) if x not in xs)
+
+
+# --- the normal form against the equivalence search --------------------------
+
+
+def test_exception_index_matches_the_search(grid_configs):
+    for config in grid_configs:
+        assert exception_index(config) == oracles.exception_index(config), config
+    rng = random.Random(7)
+    for k in range(1, 9):
+        for _ in range(3):
+            moved = apply_map(oracles.random_unimodular(rng), exceptional_triangle(k))
+            assert exception_index(moved) == oracles.exception_index(moved) == k
+
+
+@pytest.mark.parametrize("grid, orbits", [(GRIDS[0], 20), (GRIDS[1], 62)])
+def test_grid_orbits(grid, orbits):
+    members = {}
+    for config in enumerate_lattice_convex(grid):
+        members.setdefault(normal_form(config), []).append(config)
+    assert len(members) == orbits
+    representatives = [orbit[0] for orbit in members.values()]
+    for orbit in members.values():
+        for config in orbit[1:]:
+            assert are_equivalent(config, orbit[0]) is not None, (config, orbit[0])
+    for i, first in enumerate(representatives):
+        for second in representatives[i + 1:]:
+            if len(first) == len(second):
+                assert are_equivalent(first, second) is None, (first, second)
+
+
+# products of these generate every integer matrix of determinant +-1
+GENERATORS = (((1, 1), (0, 1)), ((1, -1), (0, 1)), ((1, 0), (1, 1)), ((1, 0), (-1, 1)),
+              ((-1, 0), (0, 1)), ((0, 1), (1, 0)))
+unimodular_maps = st.builds(
+    lambda factors, shift: reduce(
+        lambda inner, f: AffineUnimodularMap(f, (0, 0)).compose(inner),
+        factors,
+        AffineUnimodularMap.from_translation(shift),
+    ),
+    st.lists(st.sampled_from(GENERATORS), max_size=8),
+    st.tuples(st.integers(-9, 9), st.integers(-9, 9)),
+)
+
+
+@given(planar_sets, unimodular_maps)
+def test_normal_form_is_invariant(raw, transform):
+    config = PointConfig.of(raw)
+    assert normal_form(apply_map(transform, config)) == normal_form(config)
+
+
+@given(planar_sets)
+def test_normal_form_is_an_equivalent_configuration(raw):
+    config = PointConfig.of(raw)
+    form = normal_form(config)
+    assert form == tuple(sorted(form))
+    assert are_equivalent(PointConfig.of(form), config) is not None
+
+
+@given(planar_sets, planar_sets)
+def test_equal_normal_forms_exactly_when_equivalent(first, second):
+    a, b = PointConfig.of(first), PointConfig.of(second)
+    assert (normal_form(a) == normal_form(b)) == (are_equivalent(a, b) is not None)
+
+
+def test_orbit_members_inherit_a_representative_problem(monkeypatch):
+    grid = GRIDS[1]
+    configs = enumerate_lattice_convex(grid)
+    target = normal_form(next(c for c in configs if len(c) == 6))
+    examine = harness._examine_config
+    examined = []
+
+    def flag_one_orbit(config):
+        examined.append(config)
+        k, problems = examine(config)
+        if normal_form(config) == target:
+            problems = problems + [("not-p-good", 2)]
+        return k, problems
+
+    monkeypatch.setattr(harness, "_examine_config", flag_one_orbit)
+    summary = verify_grid(grid)
+    assert len(examined) == 62
+    orbit = [c for c in configs if normal_form(c) == target]
+    assert len(orbit) > 1
+    assert [(v.kind, v.config, v.subset_size) for v in summary.violations] == [
+        ("not-p-good", c, 2) for c in orbit
+    ]
+    assert summary.config_count == 420
+    assert summary.exceptions_seen == {1: 8, 2: 4}

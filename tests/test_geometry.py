@@ -15,6 +15,7 @@ from wedgepower import (
     exception_index,
     exceptional_triangle,
     lattice_points_of_polytope,
+    normal_form,
     point_in_hull,
     remove_vertex,
     vertex_set,
@@ -269,6 +270,30 @@ class TestExceptionIndex:
             for _ in range(4):
                 moved = apply_map(oracles.random_unimodular(rng), base)
                 assert exception_index(moved) == k
+
+
+class TestNormalForm:
+    def test_singleton_and_empty(self):
+        assert normal_form(PointConfig.of([(5, -7)])) == ((0, 0),)
+        assert normal_form(PointConfig.of([], dim=2)) == ()
+
+    def test_collinear_takes_the_lesser_gap_pattern(self):
+        # offsets 0, 3, 4 along (2, 1); read the other way they are 0, 1, 4
+        config = PointConfig.of([(1, 1), (7, 4), (9, 5)])
+        assert normal_form(config) == ((0, 0), (1, 0), (4, 0))
+
+    def test_first_exception(self):
+        assert normal_form(PointConfig.of(FIRST_EXCEPTION)) == ((0, 0), (1, 0), (1, 1), (2, 3))
+
+    def test_unit_square_and_its_mirror(self):
+        square = PointConfig.of([(0, 0), (1, 0), (0, 1), (1, 1)])
+        sheared = PointConfig.of([(0, 0), (1, 0), (3, 1), (4, 1)])
+        assert normal_form(square) == normal_form(sheared) == ((0, 0), (0, 1), (1, 0), (1, 1))
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_other_dimensions_rejected(self, dim):
+        with pytest.raises(DimensionError):
+            normal_form(PointConfig.of([(0,) * dim, (1,) * dim]))
 
 
 class TestPointInHull:

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -18,6 +19,8 @@ from wedgepower import (
     reflect_complement,
     wedge_power,
 )
+
+import wedgepower.wedge as wedge_module
 
 import oracles
 
@@ -230,6 +233,26 @@ class TestSubsetSumTable:
         small = SubsetSumTable([(0, 0), (1, 1)], 1)
         with pytest.raises(ValueError, match="box"):
             SubsetSumTable([(0, 0), (1, 1), (2, 0)], 2, box=small)
+
+    def test_oversized_table_is_refused_before_allocating(self):
+        # depth 3 over coordinates near 10^4 would need about 2.7e13 cells per layer
+        far = [(10_000, 0, 0), (0, 9_999, 1), (1, 2, 10_000)]
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetError, match="table budget"):
+                SubsetSumTable(far, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_budget_admits_exactly_its_bit_count(self, monkeypatch):
+        pts = [(0, 0), (2, 1)]  # depth 2: box [0, 4] x [0, 2], 15 cells, 3 layers
+        monkeypatch.setattr(wedge_module, "TABLE_BIT_BUDGET", 45)
+        assert SubsetSumTable(pts, 2).total_cells == 15
+        monkeypatch.setattr(wedge_module, "TABLE_BIT_BUDGET", 44)
+        with pytest.raises(BudgetError):
+            SubsetSumTable(pts, 2)
 
     def test_digest_is_deterministic(self):
         pts = [(0, 0, 0), (1, 2, 0), (0, 1, 1), (2, 0, 1)]
