@@ -192,6 +192,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (InputFormatError, BudgetError, DimensionError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        print("error: out of memory; the input needs more than this machine can allocate", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

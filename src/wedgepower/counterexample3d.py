@@ -207,7 +207,7 @@ def verify_counterexample(
         slice_points=slice_points,
         min_level_attained=min_level,
         witness_level=functional(witness),
-        digest=table.digest(WEDGE_DEPTH),
+        digest=table.digest(WEDGE_DEPTH, coords),
     )
 
 

@@ -1,17 +1,19 @@
 """Sums of fixed-size subsets of a lattice point set, computed exactly.
 
 The workhorse is a layered subset-sum table: layer c holds a bitset over a
-dense integer box marking every sum of c distinct points seen so far.
-Feeding one point at a time and updating layers from the top down keeps
-each point to a single use, and the whole update is one shifted OR on a big
-integer, so the inner loop is bit-parallel.  A naive oracle that walks all
-C(N, p) subsets backs it up at small sizes.
+dense integer box marking every sum of c distinct points seen so far.  The
+box spans, per coordinate, only the sums that at most ``depth`` distinct
+points can reach.  Feeding one point at a time and updating layers from the
+top down keeps each point to a single use, and the whole update is one
+shifted OR on a big integer, so the inner loop is bit-parallel.  A naive
+oracle that walks all C(N, p) subsets backs it up at small sizes.
 """
 
 import hashlib
 import itertools
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from math import comb
+from math import comb, prod
 from typing import Optional, Sequence
 
 import numpy as np
@@ -20,15 +22,17 @@ from .geometry import BudgetError, DimensionError, Point, PointConfig, _hull_rin
 
 NAIVE_SUBSET_LIMIT = 10_000_000
 TABLE_BIT_BUDGET = 1 << 33  # cells times layers of one SubsetSumTable: 1 GiB of bitsets
+_DIGEST_CHUNK = 1 << 16  # bytes of a digest's layout hashed at a time
 
 
 class SubsetSumTable:
     """Exactly-c subset sums of an integer point set, for all c up to ``depth``.
 
-    Points are flattened into a dense box whose side in each coordinate is
-    [min(0, depth * lo), max(0, depth * hi)], where [lo, hi] is the range of
-    that coordinate over the input; the box therefore contains every sum of
-    at most ``depth`` distinct points, so a shifted OR can never alias a bit
+    Points are flattened into a dense box that holds exactly the reachable
+    range of every coordinate: from the sum of the negative values among its
+    ``depth`` smallest to the sum of the positive values among its ``depth``
+    largest.  Every sum of at most ``depth`` distinct points, the empty sum
+    (the origin) included, lies in it, so a shifted OR can never alias a bit
     into a neighbouring row.  Layer bitsets live in arbitrary-precision
     integers: shifting by a point's flattened offset adds that point to
     every sum of the layer below in one operation.
@@ -36,7 +40,8 @@ class SubsetSumTable:
     Passing another table as ``box`` builds in that table's (large enough)
     box instead: a bit then means the same point in both tables.  A table
     of more than TABLE_BIT_BUDGET bits (cells times depth + 1 layers) is
-    refused with BudgetError before anything is allocated.
+    refused with BudgetError before anything is allocated.  ``digest`` lays
+    layers out in a box of its own, which is why it is stable.
     """
 
     def __init__(self, points: Sequence[Point], depth: int, dim: Optional[int] = None, box=None):
@@ -51,17 +56,19 @@ class SubsetSumTable:
             dim = len(points[0])
         self.dim = dim
         self.depth = depth
-        if points:
-            lows = [min(p[d] for p in points) for d in range(self.dim)]
-            highs = [max(p[d] for p in points) for d in range(self.dim)]
-        else:
-            lows = highs = [0] * self.dim
-        self.box_lo = tuple(min(0, depth * lo) for lo in lows)
-        self.box_hi = tuple(max(0, depth * hi) for hi in highs)
+        columns = [sorted(col) for col in zip(*points)] if points else [[0]] * self.dim
+        # the negative values among the depth smallest, the positive among the depth largest
+        self.box_lo = tuple(sum(col[: min(depth, bisect_left(col, 0))]) for col in columns)
+        self.box_hi = tuple(sum(col[max(len(col) - depth, bisect_right(col, 0)) :]) for col in columns)
+        self._digest_box = (
+            tuple(min(0, depth * col[0]) for col in columns),
+            tuple(max(0, depth * col[-1]) for col in columns),
+        )
         if box is not None:
             if box.dim != self.dim or not (box._in_box(self.box_lo) and box._in_box(self.box_hi)):
                 raise ValueError("the given box does not hold every sum this table needs")
             self.box_lo, self.box_hi = box.box_lo, box.box_hi
+            self._digest_box = box._digest_box
         shape = [hi - lo + 1 for lo, hi in zip(self.box_lo, self.box_hi)]
         strides = [1] * self.dim
         for d in range(1, self.dim):
@@ -143,12 +150,35 @@ class SubsetSumTable:
     def points_at(self, size: int) -> list[Point]:
         return list(map(tuple, self.coords(size).tolist()))
 
-    def digest(self, size: int) -> str:
-        """Stable fingerprint of one layer, for regression comparisons."""
+    def digest(self, size: int, coords: Optional[np.ndarray] = None) -> str:
+        """Stable fingerprint of one layer, for regression comparisons.
+
+        The layer is hashed as laid out in the digest box, each coordinate
+        [min(0, depth * lo), max(0, depth * hi)] for its input range [lo, hi]
+        (the given table's under ``box=``), so fingerprints do not depend on
+        the box the table is built in.  ``coords`` may pass the layer's
+        already extracted ``coords(size)``.
+        """
+        lo, hi = self._digest_box
+        shape = [b - a + 1 for a, b in zip(lo, hi)]
+        cells = prod(shape)
+        if cells > TABLE_BIT_BUDGET:
+            raise BudgetError(
+                f"digest layout needs {cells} cells, above the table budget of {TABLE_BIT_BUDGET} bits"
+            )
+        if coords is None:
+            coords = self.coords(size)
+        strides = np.cumprod([1] + shape[:-1], dtype=np.int64)
+        flat = (coords - np.asarray(lo, dtype=np.int64)) @ strides
         h = hashlib.sha256()
-        h.update(repr((self.dim, self.box_lo, self.box_hi, size)).encode())
-        nbytes = (self.total_cells + 7) // 8
-        h.update(self._layers[size].to_bytes(nbytes, "little"))
+        h.update(repr((self.dim, lo, hi, size)).encode())
+        nbytes = (cells + 7) // 8
+        for start in range(0, nbytes, _DIGEST_CHUNK):  # bounded memory for a sparse layout
+            stop = min(start + _DIGEST_CHUNK, nbytes)
+            i, j = np.searchsorted(flat, (8 * start, 8 * stop))
+            bits = np.zeros(8 * (stop - start), dtype=np.uint8)
+            bits[flat[i:j] - 8 * start] = 1
+            h.update(np.packbits(bits, bitorder="little").tobytes())
         return h.hexdigest()
 
 

@@ -9,9 +9,12 @@ implementations of the convexity, goodness and decomposition checks, which
 materialise every wedge as points and scan hull rows in ``Fraction``
 arithmetic; the bitset code is tested against them.  The earlier exception
 detection, one equivalence search against the candidate triangle, is kept
-there too as the reference for the normal-form comparison.
+there too as the reference for the normal-form comparison, and so is the
+subset-sum table with its earlier box, depth times each coordinate's
+extremes, whose layers and digests the tight-box table must reproduce.
 """
 
+import hashlib
 import itertools
 import math
 import random
@@ -220,3 +223,57 @@ def exception_index(config):
     if are_equivalent(config, exceptional_triangle(k)) is not None:
         return k
     return None
+
+
+class SubsetSumTable:
+    """The layered bitset table in its earlier box [min(0, depth * lo), max(0, depth * hi)]."""
+
+    def __init__(self, points, depth, dim, box=None):
+        points = list(points)
+        self.dim, self.depth = dim, depth
+        lows = [min((p[d] for p in points), default=0) for d in range(dim)]
+        highs = [max((p[d] for p in points), default=0) for d in range(dim)]
+        self.box_lo = tuple(min(0, depth * lo) for lo in lows)
+        self.box_hi = tuple(max(0, depth * hi) for hi in highs)
+        if box is not None:
+            self.box_lo, self.box_hi = box.box_lo, box.box_hi
+        self.shape = [hi - lo + 1 for lo, hi in zip(self.box_lo, self.box_hi)]
+        self.total_cells = math.prod(self.shape)
+        self.layers = [0] * (depth + 1)
+        self.layers[0] = 1 << self._flatten((0,) * dim)
+        for seen, point in enumerate(points, start=1):
+            offset = self._flatten(point) - self._flatten((0,) * dim)
+            for c in range(min(seen, depth), 0, -1):
+                below = self.layers[c - 1]
+                self.layers[c] |= (below << offset) if offset >= 0 else (below >> -offset)
+
+    def _flatten(self, point):
+        flat, stride = 0, 1
+        for c, lo, side in zip(point, self.box_lo, self.shape):
+            flat += (c - lo) * stride
+            stride *= side
+        return flat
+
+    def contains(self, size, point):
+        if not 0 <= size <= self.depth:
+            return False
+        if not all(lo <= c <= hi for c, lo, hi in zip(point, self.box_lo, self.box_hi)):
+            return False
+        return bool(self.layers[size] >> self._flatten(point) & 1)
+
+    def points_at(self, size):
+        out = []
+        for flat in range(self.layers[size].bit_length()):
+            if self.layers[size] >> flat & 1:
+                point, rest = [], flat
+                for lo, side in zip(self.box_lo, self.shape):
+                    rest, c = divmod(rest, side)
+                    point.append(lo + c)
+                out.append(tuple(point))
+        return sorted(out)
+
+    def digest(self, size):
+        h = hashlib.sha256()
+        h.update(repr((self.dim, self.box_lo, self.box_hi, size)).encode())
+        h.update(self.layers[size].to_bytes((self.total_cells + 7) // 8, "little"))
+        return h.hexdigest()

@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+import wedgepower.wedge as wedge_module
 from wedgepower.cli import main
 from wedgepower.jsonio import parse_point_config
 
@@ -67,6 +68,15 @@ class TestWedgeCommand:
         code, out, err = run(capsys, "wedge", "--input", far, "-p", "3")
         assert (code, out) == (1, "")
         assert "table budget" in err
+
+    def test_out_of_memory(self, capsys, monkeypatch, e1_file):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(wedge_module, "SubsetSumTable", exhausted)
+        code, out, err = run(capsys, "wedge", "--input", e1_file, "-p", "2")
+        assert (code, out) == (1, "")
+        assert "error: out of memory" in err
 
 
 class TestVerificationCommands:

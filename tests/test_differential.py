@@ -6,8 +6,11 @@ points and the p-goodness witness, must equal what the earlier
 point-by-point implementations give.  Unimodular equivalence is decided by
 comparing normal forms; it must agree with the equivalence search, and the
 grid run's orbit reduction must report what examining every member would.
+The subset-sum table's tight box must give the layers, counts, membership
+answers and digests of the table in its earlier, larger box.
 """
 
+import itertools
 import random
 from functools import reduce
 
@@ -19,6 +22,7 @@ from wedgepower import (
     AffineUnimodularMap,
     GridSpec,
     PointConfig,
+    SubsetSumTable,
     apply_map,
     are_equivalent,
     check_lattice_convex,
@@ -127,6 +131,60 @@ def test_check_lattice_convex_in_dimension_1(xs):
     report = check_lattice_convex(config)
     assert report == oracles.check_lattice_convex(config)
     assert report.missing.points == tuple((x,) for x in range(min(xs), max(xs) + 1) if x not in xs)
+
+
+# --- the tight table box against the earlier box ------------------------------
+
+# few values per coordinate, so inputs repeat coordinate values
+point_sets = st.integers(1, 3).flatmap(
+    lambda dim: st.lists(st.tuples(*[st.integers(-3, 3)] * dim), min_size=1, max_size=6, unique=True)
+)
+
+
+@st.composite
+def tables(draw):
+    points = draw(point_sets)
+    return points, draw(st.integers(0, len(points)))
+
+
+def _assert_same_table(table, reference):
+    origin = (0,) * table.dim
+    assert table.contains(0, origin)
+    assert all(a <= b for a, b in zip(reference.box_lo, table.box_lo))
+    assert all(a >= b for a, b in zip(reference.box_hi, table.box_hi))
+    corners = set(itertools.product(*zip(reference.box_lo, reference.box_hi)))
+    units = [tuple(int(d == e) for e in range(table.dim)) for d in range(table.dim)]
+    steps = [origin] + units + [tuple(-c for c in u) for u in units]
+    for size in range(table.depth + 1):
+        expected = reference.points_at(size)
+        assert sorted(table.points_at(size)) == expected
+        assert table.count(size) == len(expected)
+        assert table.digest(size) == reference.digest(size)
+        # every member, its lattice neighbours and the earlier box's corners
+        probes = corners | {tuple(map(sum, zip(p, q))) for p in expected for q in steps}
+        for point in probes:
+            assert table.contains(size, point) == reference.contains(size, point), (size, point)
+    assert not table.layer(table.depth + 1) and not table.contains(table.depth + 1, origin)
+
+
+@given(tables())
+def test_tight_box_gives_the_earlier_tables_answers(case):
+    points, depth = case
+    dim = len(points[0])
+    _assert_same_table(SubsetSumTable(points, depth), oracles.SubsetSumTable(points, depth, dim))
+
+
+@given(tables(), st.data())
+def test_tables_in_a_given_box_give_the_earlier_answers(case, data):
+    points, depth = case
+    dim = len(points[0])
+    rest = data.draw(st.lists(st.sampled_from(points), unique=True))
+    rest_depth = data.draw(st.integers(0, min(depth, len(rest))))
+    base = SubsetSumTable(points, depth)
+    inside = SubsetSumTable(rest, rest_depth, dim=dim, box=base)
+    assert (inside.box_lo, inside.box_hi) == (base.box_lo, base.box_hi)
+    reference_base = oracles.SubsetSumTable(points, depth, dim)
+    _assert_same_table(inside, oracles.SubsetSumTable(rest, rest_depth, dim, box=reference_base))
 
 
 # --- the normal form against the equivalence search --------------------------

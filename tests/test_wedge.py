@@ -247,12 +247,21 @@ class TestSubsetSumTable:
         assert peak < 1 << 20
 
     def test_budget_admits_exactly_its_bit_count(self, monkeypatch):
-        pts = [(0, 0), (2, 1)]  # depth 2: box [0, 4] x [0, 2], 15 cells, 3 layers
-        monkeypatch.setattr(wedge_module, "TABLE_BIT_BUDGET", 45)
-        assert SubsetSumTable(pts, 2).total_cells == 15
-        monkeypatch.setattr(wedge_module, "TABLE_BIT_BUDGET", 44)
+        pts = [(0, 0), (2, 1)]  # depth 2: box [0, 2] x [0, 1], 6 cells, 3 layers
+        monkeypatch.setattr(wedge_module, "TABLE_BIT_BUDGET", 18)
+        assert SubsetSumTable(pts, 2).total_cells == 6
+        monkeypatch.setattr(wedge_module, "TABLE_BIT_BUDGET", 17)
         with pytest.raises(BudgetError):
             SubsetSumTable(pts, 2)
+
+    def test_digest_layout_beyond_the_budget_is_refused(self, monkeypatch):
+        # unit vectors at depth 4: a [0, 1]^4 box of 16 cells x 5 layers, a [0, 4]^4 digest layout
+        units = [tuple(int(i == j) for j in range(4)) for i in range(4)]
+        monkeypatch.setattr(wedge_module, "TABLE_BIT_BUDGET", 80)
+        table = SubsetSumTable(units, 4)
+        assert table.total_cells == 16
+        with pytest.raises(BudgetError, match="digest layout needs 625 cells"):
+            table.digest(4)
 
     def test_digest_is_deterministic(self):
         pts = [(0, 0, 0), (1, 2, 0), (0, 1, 1), (2, 0, 1)]
