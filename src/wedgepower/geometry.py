@@ -1,8 +1,8 @@
 """Exact integer geometry for lattice point sets in dimensions 1 to 3.
 
 Everything here runs on plain Python integers and fractions: orientation
-predicates are exact cross products, polygon scanlines take integer floor
-and ceiling of their edge crossings, and hull membership is decided by an
+predicates are exact cross products, polygon rows run between integer
+ceilings and floors of two envelopes, and hull membership is decided by an
 exact rational feasibility test.  No floating point anywhere.
 """
 
@@ -234,19 +234,19 @@ def _adjugate(matrix: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
     raise DimensionError("adjugates supported up to 3x3")
 
 
-def _hull_ring(pts: Sequence[Point]) -> list[Point]:
-    """Strict hull corners of sorted points, counterclockwise (monotone chain)."""
-    lower: list[Point] = []
+def _lower_chain(pts: Iterable[Point]) -> list[Point]:
+    """Strict corners of the lower hull of points sorted left to right (monotone chain)."""
+    chain: list[Point] = []
     for p in pts:
-        while len(lower) > 1 and cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper: list[Point] = []
-    for p in reversed(pts):
-        while len(upper) > 1 and cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    return lower[:-1] + upper[:-1]
+        while len(chain) > 1 and cross(chain[-2], chain[-1], p) <= 0:
+            chain.pop()
+        chain.append(p)
+    return chain
+
+
+def _hull_ring(pts: Sequence[Point]) -> list[Point]:
+    """Strict hull corners of sorted points, counterclockwise."""
+    return _lower_chain(pts)[:-1] + _lower_chain(reversed(pts))[:-1]
 
 
 def convex_hull_2d(config: PointConfig) -> Polytope:
@@ -271,8 +271,8 @@ def convex_hull_2d(config: PointConfig) -> Polytope:
 def lattice_points_of_polytope(poly: Polytope) -> PointConfig:
     """All integer points inside or on the polytope, for ambient dimension <= 2.
 
-    Planar hulls, segments and points alike, are scanned row by row with
-    integer floor and ceiling of the edge crossings.
+    Planar hulls, segments and points alike, are scanned row by row from the
+    ceiling of the vertices' left envelope to the floor of their right one.
     """
     if poly.dim_ambient > 2:
         raise DimensionError(
@@ -282,35 +282,30 @@ def lattice_points_of_polytope(poly: Polytope) -> PointConfig:
     if poly.dim_ambient == 1:
         xs = [v[0] for v in poly.vertices]
         return PointConfig.of([(x,) for x in range(min(xs), max(xs) + 1)], dim=1)
-    first, ranges = _row_ranges(poly.vertices)
-    out = [(x, y) for y, (lo, hi) in enumerate(ranges, first) for x in range(lo, hi + 1)]
+    rows = sorted((y, x) for x, y in poly.vertices)
+    # a dict keeps each key's last value: a row's greatest x, or its least from the reversed rows
+    lows = _ceil_envelope(sorted(dict(reversed(rows)).items()))
+    neg_highs = _ceil_envelope([(y, -x) for y, x in dict(rows).items()])
+    ranges = zip(itertools.count(rows[0][0]), lows, neg_highs)
+    out = [(x, y) for y, lo, neg_hi in ranges for x in range(lo, 1 - neg_hi)]
     return PointConfig.of(out, dim=2)
 
 
-def _row_ranges(ring: Sequence[Point]) -> tuple[int, list[tuple[int, int]]]:
-    """The lowest row of a hull ring, and its integer x-range [lo, hi] on each row up.
+def _ceil_envelope(rows: Sequence[Point]) -> list[int]:
+    """Ceiling of the lower convex envelope of (y, x) rows, y increasing, at every y.
 
-    Ceiling and floor commute with min and max, so a row's range runs from
-    the least ceiling to the greatest floor of its edge crossings; lo > hi
-    marks a row without lattice points.
+    The envelope is the least x over the hull of the rows at each height, so
+    rows of row minima give a hull's left boundary; rows of negated maxima
+    give its right boundary negated, since floor(x) = -ceil(-x).
     """
-    xs, ys = [x for x, _ in ring], [y for _, y in ring]
-    first = min(ys)
-    los, his = [max(xs)] * (max(ys) - first + 1), [min(xs)] * (max(ys) - first + 1)
-    for (ax, ay), (bx, by) in zip(ring, [*ring[1:], ring[0]]):
-        if ay > by:
-            ax, ay, bx, by = bx, by, ax, ay
-        dx, dy = bx - ax, by - ay
-        if dy == 0:
-            los[ay - first] = min(los[ay - first], ax, bx)
-            his[ay - first] = max(his[ay - first], ax, bx)
-            continue
-        num = ax * dy
-        for i in range(ay - first, by - first + 1):
-            los[i] = min(los[i], -(-num // dy))
-            his[i] = max(his[i], num // dy)
-            num += dx
-    return first, list(zip(los, his))
+    chain = _lower_chain(rows)
+    ay, ax = chain[0]
+    out = [ax]
+    for by, bx in chain[1:]:
+        dy, dx = by - ay, bx - ax
+        out += [bx] if dy == 1 else [ax - (-dx * i // dy) for i in range(1, dy + 1)]
+        ay, ax = by, bx
+    return out
 
 
 def vertex_set(config: PointConfig) -> PointConfig:

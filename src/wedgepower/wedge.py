@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .geometry import BudgetError, DimensionError, Point, PointConfig, _hull_ring, _row_ranges
+from .geometry import BudgetError, DimensionError, Point, PointConfig, _ceil_envelope
 
 NAIVE_SUBSET_LIMIT = 10_000_000
 TABLE_BIT_BUDGET = 1 << 33  # cells times layers of one SubsetSumTable: 1 GiB of bitsets
@@ -108,7 +108,7 @@ class SubsetSumTable:
         return bool((self._layers[size] >> self._flatten(pt)) & 1)
 
     def count(self, size: int) -> int:
-        return self._layers[size].bit_count()
+        return self.layer(size).bit_count()
 
     def layer(self, size: int) -> int:
         """The bitset of sums of exactly ``size`` points; 0 beyond the depth."""
@@ -124,7 +124,7 @@ class SubsetSumTable:
             raise DimensionError("layer convexity is decided in dimension <= 2 only")
         layer = self.layer(size)
         missing = self.hull_fill(size) & ~layer
-        points = PointConfig.of(self.points_of(missing), dim=self.dim)
+        points = PointConfig.of(self.points_of(missing) if missing else (), dim=self.dim)
         return ConvexityReport(not missing, points, layer.bit_count())
 
     def points_of(self, bits: int) -> list[Point]:
@@ -133,7 +133,7 @@ class SubsetSumTable:
 
     def coords(self, size: int) -> np.ndarray:
         """All sums of ``size`` distinct points as an (n, dim) int64 array."""
-        return self._unpack(self._layers[size])
+        return self._unpack(self.layer(size))
 
     def _unpack(self, layer: int) -> np.ndarray:
         nbytes = (self.total_cells + 7) // 8
@@ -234,24 +234,29 @@ class ConvexityReport:
 def hull_fill(layer: int, width: int) -> int:
     """The lattice points of the convex hull of a planar bitset, as a bitset.
 
-    Bit ``x + y * width`` is the point (x, y); only the lowest and highest
-    set bit of a row can be a hull corner.  ``fill & ~layer`` is what is missing.
+    Bit ``x + y * width`` is the point (x, y).  One pass up the rows collects
+    each row's lowest and highest set bit; a row of the hull then runs from
+    the ceiling of the lower convex envelope of the row minima to the floor
+    of the upper concave envelope of the row maxima.  ``fill & ~layer`` is
+    what is missing.
     """
     if not layer:
         return 0
-    first = ((layer & -layer).bit_length() - 1) // width
-    last = (layer.bit_length() - 1) // width
-    full = (1 << width) - 1
-    ends = set()
-    for y in range(first, last + 1):
-        row = (layer >> (y * width)) & full
+    y = ((layer & -layer).bit_length() - 1) // width
+    shift = y * width
+    rest, full = layer >> shift, (1 << width) - 1
+    lows, neg_highs = [], []  # (y, min x) and (y, -max x) of each nonempty row
+    while rest:
+        row = rest & full
         if row:
-            ends.add(((row & -row).bit_length() - 1, y))
-            ends.add((row.bit_length() - 1, y))
-    first, ranges = _row_ranges(_hull_ring(sorted(ends)) or list(ends))
+            lows.append((y, (row & -row).bit_length() - 1))
+            neg_highs.append((y, 1 - row.bit_length()))
+        rest >>= width
+        y += 1
     fill = 0
-    for y, (lo, hi) in enumerate(ranges, first):
-        fill |= ((1 << (hi - lo + 1)) - 1) << (y * width + lo)
+    for lo, neg_hi in zip(_ceil_envelope(lows), _ceil_envelope(neg_highs)):
+        fill |= ((1 << (1 - neg_hi - lo)) - 1) << (shift + lo)
+        shift += width
     return fill
 
 

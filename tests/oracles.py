@@ -12,6 +12,9 @@ detection, one equivalence search against the candidate triangle, is kept
 there too as the reference for the normal-form comparison, and so is the
 subset-sum table with its earlier box, depth times each coordinate's
 extremes, whose layers and digests the tight-box table must reproduce.
+The earlier bitset hull fill, a monotone-chain hull ring of the row ends
+cut row by row along its edges, is the reference for the two-envelope
+``hull_fill``.
 """
 
 import hashlib
@@ -211,6 +214,58 @@ def enumerate_lattice_convex(grid):
             out.append(config)
     out.sort(key=lambda c: (len(c), c.points))
     return out
+
+
+def _hull_ring(pts):
+    """Strict hull corners of sorted points, counterclockwise (monotone chain)."""
+    lower, upper = [], []
+    for chain, seq in ((lower, pts), (upper, pts[::-1])):
+        for p in seq:
+            while len(chain) > 1 and _cross(chain[-2], chain[-1], p) <= 0:
+                chain.pop()
+            chain.append(p)
+    return lower[:-1] + upper[:-1]
+
+
+def _row_ranges(ring):
+    """The lowest row of a hull ring, and its integer x-range [lo, hi] on each row up."""
+    xs, ys = [x for x, _ in ring], [y for _, y in ring]
+    first = min(ys)
+    los, his = [max(xs)] * (max(ys) - first + 1), [min(xs)] * (max(ys) - first + 1)
+    for (ax, ay), (bx, by) in zip(ring, [*ring[1:], ring[0]]):
+        if ay > by:
+            ax, ay, bx, by = bx, by, ax, ay
+        dx, dy = bx - ax, by - ay
+        if dy == 0:
+            los[ay - first] = min(los[ay - first], ax, bx)
+            his[ay - first] = max(his[ay - first], ax, bx)
+            continue
+        num = ax * dy
+        for i in range(ay - first, by - first + 1):
+            los[i] = min(los[i], -(-num // dy))
+            his[i] = max(his[i], num // dy)
+            num += dx
+    return first, list(zip(los, his))
+
+
+def ring_hull_fill(layer, width):
+    """The earlier ``hull_fill``: the hull ring of each row's end bits, filled row by row."""
+    if not layer:
+        return 0
+    first = ((layer & -layer).bit_length() - 1) // width
+    last = (layer.bit_length() - 1) // width
+    full = (1 << width) - 1
+    ends = set()
+    for y in range(first, last + 1):
+        row = (layer >> (y * width)) & full
+        if row:
+            ends.add(((row & -row).bit_length() - 1, y))
+            ends.add((row.bit_length() - 1, y))
+    first, ranges = _row_ranges(_hull_ring(sorted(ends)) or list(ends))
+    fill = 0
+    for y, (lo, hi) in enumerate(ranges, first):
+        fill |= ((1 << (hi - lo + 1)) - 1) << (y * width + lo)
+    return fill
 
 
 def exception_index(config):

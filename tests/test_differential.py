@@ -7,7 +7,9 @@ point-by-point implementations give.  Unimodular equivalence is decided by
 comparing normal forms; it must agree with the equivalence search, and the
 grid run's orbit reduction must report what examining every member would.
 The subset-sum table's tight box must give the layers, counts, membership
-answers and digests of the table in its earlier, larger box.
+answers and digests of the table in its earlier, larger box.  The
+two-envelope ``hull_fill`` must give the earlier ring kernel's fill bit for
+bit, and a table's ``check_convex`` the tuple-path report.
 """
 
 import itertools
@@ -15,7 +17,7 @@ import random
 from functools import reduce
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from wedgepower import (
@@ -31,6 +33,7 @@ from wedgepower import (
     exceptional_triangle,
     is_p_good,
     normal_form,
+    truncated_quadrant,
     union_decomposition_holds,
     verify_grid,
     verify_polygon,
@@ -131,6 +134,82 @@ def test_check_lattice_convex_in_dimension_1(xs):
     report = check_lattice_convex(config)
     assert report == oracles.check_lattice_convex(config)
     assert report.missing.points == tuple((x,) for x in range(min(xs), max(xs) + 1) if x not in xs)
+
+
+# --- the two-envelope hull fill against the ring kernel ----------------------
+
+
+def _assert_same_fill(layer, width):
+    assert hull_fill(layer, width) == oracles.ring_hull_fill(layer, width), (layer, width)
+
+
+def test_hull_fill_matches_the_ring_kernel_on_every_grid_mask():
+    grid = GRIDS[1]
+    for mask in range(1 << grid.cell_count):
+        _assert_same_fill(mask, grid.height + 1)
+
+
+def test_hull_fill_matches_the_ring_kernel_on_the_45_point_triangle():
+    triangle = [(x, y) for x in range(9) for y in range(9 - x)]
+    table = SubsetSumTable(triangle, len(triangle))
+    for size in range(len(triangle) + 1):
+        _assert_same_fill(table.layer(size), table._shape[0])
+
+
+@pytest.mark.parametrize("bound", range(2, 13))
+def test_hull_fill_matches_the_ring_kernel_on_corner_cuts(bound):
+    quadrant = truncated_quadrant(bound)
+    table = SubsetSumTable(quadrant.points, min(10, len(quadrant)), dim=2)
+    for size in range(table.depth + 1):
+        _assert_same_fill(table.layer(size), table._shape[0])
+
+
+# few columns over many rows: thin hulls, many of them with rows that hold no lattice point
+slivers = st.lists(st.tuples(st.integers(0, 3), st.integers(-9, 9)), min_size=1, max_size=4, unique=True)
+margins = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 4))
+
+
+@given(st.one_of(planar_sets, slivers), margins)
+@example([(0, 0), (1, 3)], (0, 0, 0))
+@example([(0, 0), (2, 5), (1, 1)], (2, 1, 3))
+def test_hull_fill_matches_the_ring_kernel_in_a_padded_box(raw, margin):
+    """The layer sits inside a wider box, with empty columns left and right and rows below."""
+    left, right, below = margin
+    bits, width, _ = _bitset(sorted(set(raw)))
+    padded, full = 0, (1 << width) - 1
+    for y in range(bits.bit_length() // width + 1):
+        padded |= ((bits >> (y * width)) & full) << ((y + below) * (left + width + right) + left)
+    _assert_same_fill(padded, left + width + right)
+
+
+def test_hull_fill_leaves_lattice_free_rows_empty():
+    # the segment from (0, 0) to (1, 3) crosses rows 1 and 2 between lattice points
+    assert hull_fill(1 | 1 << 7, 2) == 1 | 1 << 7
+    assert oracles._row_ranges([(0, 0), (1, 3)]) == (0, [(0, 0), (1, 0), (1, 0), (1, 1)])
+
+
+layer_sets = st.integers(1, 2).flatmap(
+    lambda dim: st.lists(st.tuples(*[st.integers(-3, 3)] * dim), min_size=1, max_size=6, unique=True)
+)
+
+
+@given(layer_sets)
+@example([(0,), (1,), (3,)])
+@example(list(exceptional_triangle(1).points))
+def test_check_convex_matches_the_tuple_path(points):
+    dim = len(points[0])
+    table = SubsetSumTable(points, len(points))
+    for size in range(len(points) + 1):
+        layer = PointConfig.of(table.points_at(size), dim=dim)
+        assert table.check_convex(size) == oracles.check_lattice_convex(layer), (points, size)
+
+
+def test_check_convex_sees_convex_and_non_convex_layers():
+    line = SubsetSumTable([(0,), (1,), (3,)], 3)
+    assert [line.check_convex(p).missing.points for p in range(4)] == [(), ((2,),), ((2,),), ()]
+    triangle = SubsetSumTable(exceptional_triangle(1).points, 4)
+    assert [triangle.check_convex(p).convex for p in range(5)] == [True, True, False, True, True]
+    assert triangle.check_convex(2) == oracles.check_lattice_convex(wedge_power(exceptional_triangle(1), 2))
 
 
 # --- the tight table box against the earlier box ------------------------------

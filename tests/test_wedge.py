@@ -1,3 +1,4 @@
+import hashlib
 import random
 import tracemalloc
 
@@ -214,6 +215,16 @@ class TestSubsetSumTable:
                 assert table.contains(size, point)
         assert not table.contains(2, (50, 50))
         assert not table.contains(4, (0, 0))
+
+    @pytest.mark.parametrize("size", [-3, -1, 3, 4])
+    def test_out_of_range_sizes_read_the_empty_layer(self, size):
+        table = SubsetSumTable([(0, 0), (1, 0), (0, 1)], 2)
+        assert table.count(size) == 0
+        assert table.coords(size).shape == (0, 2)
+        assert table.points_at(size) == []
+        # the empty layer in the digest box [0, 2] x [0, 2]: 9 cells, 2 bytes
+        empty = hashlib.sha256(repr((2, (0, 0), (2, 2), size)).encode() + bytes(2))
+        assert table.digest(size) == empty.hexdigest()
 
     def test_tables_share_a_given_box(self):
         pts = [(0, 0), (1, 0), (0, 1), (2, -1), (-1, 2)]
