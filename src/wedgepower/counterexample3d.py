@@ -11,7 +11,6 @@ lies in the hull of the wedge but not in the wedge itself.
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -118,12 +117,6 @@ def witness_point(simplex: ColoredSimplex) -> Point:
     return tuple(s + 2 * c for s, c in zip(low_sum, center))
 
 
-@lru_cache(maxsize=1)
-def _default_wedge_table() -> SubsetSumTable:
-    simplex = build_colored_simplex()
-    return SubsetSumTable(simplex.points.points, WEDGE_DEPTH)
-
-
 @dataclass(frozen=True)
 class Counterexample3DReport:
     counts: tuple[int, int, int]
@@ -160,10 +153,7 @@ class Counterexample3DReport:
         }
 
 
-def verify_counterexample(
-    simplex: Optional[ColoredSimplex] = None,
-    table: Optional[SubsetSumTable] = None,
-) -> Counterexample3DReport:
+def verify_counterexample(simplex: Optional[ColoredSimplex] = None) -> Counterexample3DReport:
     """Run the full 42-fold wedge computation and check the witness claims.
 
     The hull membership of the witness is certified without any linear
@@ -173,10 +163,7 @@ def verify_counterexample(
     """
     if simplex is None:
         simplex = build_colored_simplex()
-        if table is None:
-            table = _default_wedge_table()
-    if table is None:
-        table = SubsetSumTable(simplex.points.points, WEDGE_DEPTH)
+    table = SubsetSumTable(simplex.points.points, WEDGE_DEPTH)
 
     witness = witness_point(simplex)
     functional = simplex.functional

@@ -8,7 +8,6 @@ exact rational feasibility test.  No floating point anywhere.
 
 import bisect
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -343,37 +342,6 @@ def apply_map(transform: AffineUnimodularMap, config: PointConfig) -> PointConfi
     return PointConfig.of((transform.apply(p) for p in config.points), dim=config.dim)
 
 
-def _first_independent_triple(points: Sequence[Point]) -> Optional[tuple[Point, Point, Point]]:
-    if len(points) < 3:
-        return None
-    a, b = points[0], points[1]
-    for c in points[2:]:
-        if cross(a, b, c) != 0:
-            return (a, b, c)
-    return None
-
-
-def _line_parameters(points: Sequence[Point]) -> tuple[Point, Point, list[int]]:
-    """Affine coordinates of collinear points: base point, primitive step, sorted offsets."""
-    base = points[0]
-    other = next(p for p in points if p != base)
-    diff = tuple(b - a for a, b in zip(base, other))
-    g = math.gcd(*(abs(d) for d in diff))
-    step = tuple(d // g for d in diff)
-    axis = 0 if step[0] != 0 else 1
-    params = sorted((p[axis] - base[axis]) // step[axis] for p in points)
-    origin = tuple(b + params[0] * s for b, s in zip(base, step))
-    return origin, step, [t - params[0] for t in params]
-
-
-def _line_frame(origin: Point, step: Point) -> AffineUnimodularMap:
-    """A unimodular map sending the x-axis onto the given lattice line."""
-    dx, dy = step
-    g, ex, ey = _xgcd(dx, dy)
-    # det of ((dx, -ey), (dy, ex)) is dx*ex + dy*ey = g = 1 for primitive steps
-    return AffineUnimodularMap(((dx, -ey), (dy, ex)), origin)
-
-
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     """(g, x, y) with a*x + b*y = g = gcd(a, b)."""
     old_r, r = a, b
@@ -389,119 +357,76 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def _equivalent_degenerate(source: PointConfig, target: PointConfig) -> Optional[AffineUnimodularMap]:
-    if len(source) == 1:
-        offset = tuple(b - a for a, b in zip(source.points[0], target.points[0]))
-        return AffineUnimodularMap.from_translation(offset)
-    s_origin, s_step, s_params = _line_parameters(source.points)
-    t_origin, t_step, t_params = _line_parameters(target.points)
-    frame_s = _line_frame(s_origin, s_step)
-    frame_t = _line_frame(t_origin, t_step)
-    span = s_params[-1]
-    candidates = []
-    if s_params == t_params:
-        candidates.append(frame_t.compose(frame_s.inverse()))
-    if [span - t for t in reversed(s_params)] == t_params:
-        flip = AffineUnimodularMap(((-1, 0), (0, 1)), (span, 0))
-        candidates.append(frame_t.compose(flip).compose(frame_s.inverse()))
-    for witness in candidates:
-        if apply_map(witness, source) == target:
-            return witness
-    return None
+def _frames(config: PointConfig) -> list[tuple[list[Point], tuple[Point, Point], Point]]:
+    """The canonical lattice maps of a planar set, each as (sorted image, matrix, translation).
+
+    Each strict hull corner, walked either way round, fixes one lattice map:
+    the corner goes to the origin, its outgoing edge along the positive
+    x-axis with the set above it, and the remaining shear puts the incoming
+    neighbour (a, b) at (a mod b, b).  A collinear set has one frame at each
+    end, pointing along the line, and a single point one translation to the
+    origin.  These rules fix each frame, so if M carries one set onto another,
+    F composed with M's inverse is a frame of the other set with F's image for
+    every frame F of the first: frames with equal images give every equivalence.
+    """
+    pts = config.points
+    if len(pts) < 2:
+        return [([(0, 0)], ((1, 0), (0, 1)), (-x, -y)) for x, y in pts]
+    ring = _hull_ring(pts)
+    if len(ring) == 2:  # the far frame is the near one followed by x -> span - x
+        corners = [(0, 1), (1, -1)]
+    else:
+        corners = [(i, turn) for i in range(len(ring)) for turn in (1, -1)]
+    frames = []
+    for i, turn in corners:
+        (vx, vy), (ax, ay), (bx, by) = ring[i], ring[(i + turn) % len(ring)], ring[(i - turn) % len(ring)]
+        g, s, t = _xgcd(ax - vx, ay - vy)
+        # rows (s, t) and (ux, uy) send the edge's primitive step to (1, 0) and the set to
+        # y >= 0; adding k times row two to row one moves the neighbour to x in [0, height)
+        ux, uy = turn * (vy - ay) // g, turn * (ax - vx) // g
+        height = ux * (bx - vx) + uy * (by - vy)
+        if height:  # zero along a line, whose frames need no shear
+            k = -((s * (bx - vx) + t * (by - vy)) // height)
+            s, t = s + k * ux, t + k * uy
+        cx, cy = -s * vx - t * vy, -ux * vx - uy * vy
+        image = sorted((s * x + t * y + cx, ux * x + uy * y + cy) for x, y in pts)
+        frames.append((image, ((s, t), (ux, uy)), (cx, cy)))
+    return frames
 
 
 def are_equivalent(source: PointConfig, target: PointConfig) -> Optional[AffineUnimodularMap]:
-    """Search for an affine unimodular map carrying ``source`` onto ``target``.
+    """An affine unimodular map carrying ``source`` onto ``target``, or None.
 
-    One affinely independent triple of the source is fixed; every ordered
-    triple of the target determines at most one affine map, which is kept if
-    it is integral with determinant +-1 and bijects the whole configuration.
-    Collinear and singleton configurations are matched by their gap patterns
-    along the line instead.
+    Every equivalence is the first frame of the source followed by the
+    inverse of a target frame with the same image.  Of those maps, the one
+    returned sends the source's sorted points to the lexicographically least
+    sequence of images.
     """
     if source.dim != 2 or target.dim != 2:
-        raise DimensionError("equivalence search is for planar configurations")
+        raise DimensionError("equivalence is decided for planar configurations")
     if len(source) != len(target) or len(source) == 0:
         return None
-    if len(vertex_set(source)) != len(vertex_set(target)):
-        return None
-
-    triple = _first_independent_triple(source.points)
-    if triple is None:
-        if _first_independent_triple(target.points) is not None:
-            return None
-        return _equivalent_degenerate(source, target)
-    if _first_independent_triple(target.points) is None:
-        return None
-
-    p0, p1, p2 = triple
-    u = (p1[0] - p0[0], p1[1] - p0[1])
-    v = (p2[0] - p0[0], p2[1] - p0[1])
-    det_a = u[0] * v[1] - u[1] * v[0]
-    src_set = source.points
-    tgt_sorted = target.points
-    for q0, q1, q2 in itertools.permutations(target.points, 3):
-        b1 = (q1[0] - q0[0], q1[1] - q0[1])
-        b2 = (q2[0] - q0[0], q2[1] - q0[1])
-        # M = [b1 b2] @ adj([u v]) / det([u v]), entries must divide evenly
-        m00 = b1[0] * v[1] - b2[0] * u[1]
-        m01 = -b1[0] * v[0] + b2[0] * u[0]
-        m10 = b1[1] * v[1] - b2[1] * u[1]
-        m11 = -b1[1] * v[0] + b2[1] * u[0]
-        if m00 % det_a or m01 % det_a or m10 % det_a or m11 % det_a:
-            continue
-        mat = ((m00 // det_a, m01 // det_a), (m10 // det_a, m11 // det_a))
-        if mat[0][0] * mat[1][1] - mat[0][1] * mat[1][0] not in (1, -1):
-            continue
-        shift = (
-            q0[0] - mat[0][0] * p0[0] - mat[0][1] * p0[1],
-            q0[1] - mat[1][0] * p0[0] - mat[1][1] * p0[1],
-        )
-        image = sorted(
-            (
-                mat[0][0] * p[0] + mat[0][1] * p[1] + shift[0],
-                mat[1][0] * p[0] + mat[1][1] * p[1] + shift[1],
-            )
-            for p in src_set
-        )
-        if tuple(image) == tgt_sorted:
-            return AffineUnimodularMap(mat, shift)
-    return None
+    image, matrix, shift = _frames(source)[0]
+    forward = AffineUnimodularMap(matrix, shift)
+    maps = [
+        AffineUnimodularMap(other_matrix, other_shift).inverse().compose(forward)
+        for other, other_matrix, other_shift in _frames(target)
+        if other == image
+    ]
+    return min(maps, key=lambda m: list(map(m.apply, source.points)), default=None)
 
 
 def normal_form(config: PointConfig) -> tuple[Point, ...]:
     """A canonical member of the affine unimodular class of a planar configuration.
 
     Two configurations are equivalent exactly when their normal forms are
-    equal.  Each strict hull corner, walked either way round, fixes one
-    lattice map: the corner goes to the origin, its outgoing edge along the
-    positive x-axis with the set above it, and the remaining shear puts the
-    incoming neighbour (a, b) at (a mod b, b).  The normal form is the least
-    sorted image over these maps; a collinear set becomes the lesser of its
-    two gap patterns along the x-axis, and a single point the origin.
+    equal: the normal form is the least sorted image over the frames of
+    ``_frames``, so a collinear set becomes the lesser of its two gap
+    patterns along the x-axis, and a single point the origin.
     """
     if config.dim != 2:
         raise DimensionError("normal forms are for planar configurations")
-    pts = config.points
-    if len(pts) < 2:
-        return ((0, 0),) * len(pts)
-    ring = _hull_ring(pts)
-    if len(ring) == 2:
-        params = _line_parameters(pts)[2]
-        return tuple((t, 0) for t in min(params, sorted(params[-1] - t for t in params)))
-    candidates = []
-    for i, (vx, vy) in enumerate(ring):
-        for turn in (1, -1):
-            (ax, ay), (bx, by) = ring[(i + turn) % len(ring)], ring[(i - turn) % len(ring)]
-            g, s, t = _xgcd(ax - vx, ay - vy)
-            # rows (s, t) and (ux, uy) send the edge's primitive step to (1, 0) and the set to
-            # y >= 0; adding k times row two to row one moves the neighbour to x in [0, height)
-            ux, uy = turn * (vy - ay) // g, turn * (ax - vx) // g
-            k = -((s * (bx - vx) + t * (by - vy)) // (ux * (bx - vx) + uy * (by - vy)))
-            s, t = s + k * ux, t + k * uy
-            moved = ((x - vx, y - vy) for x, y in pts)
-            candidates.append(sorted((s * x + t * y, ux * x + uy * y) for x, y in moved))
-    return tuple(min(candidates))
+    return tuple(min((image for image, _, _ in _frames(config)), default=()))
 
 
 def exceptional_triangle(index: int) -> PointConfig:

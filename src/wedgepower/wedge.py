@@ -115,13 +115,13 @@ class SubsetSumTable:
         return self._layers[size] if 0 <= size <= self.depth else 0
 
     def hull_fill(self, size: int) -> int:
-        """The lattice points of the hull of one layer of a planar table, as a bitset."""
+        """The lattice points of the hull of one layer of a table of dimension 1 or 2, as a bitset."""
+        if self.dim > 2:
+            raise DimensionError("layer convexity is decided in dimension <= 2 only")
         return hull_fill(self.layer(size), self._shape[0])
 
     def check_convex(self, size: int) -> "ConvexityReport":
         """Lattice-convexity of one layer of a table of dimension 1 or 2."""
-        if self.dim > 2:
-            raise DimensionError("layer convexity is decided in dimension <= 2 only")
         layer = self.layer(size)
         missing = self.hull_fill(size) & ~layer
         points = PointConfig.of(self.points_of(missing) if missing else (), dim=self.dim)

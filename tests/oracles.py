@@ -7,9 +7,12 @@ from bounding-box filtering, and wedge sets from direct subset enumeration.
 The tuple-path references further down keep the library's earlier
 implementations of the convexity, goodness and decomposition checks, which
 materialise every wedge as points and scan hull rows in ``Fraction``
-arithmetic; the bitset code is tested against them.  The earlier exception
-detection, one equivalence search against the candidate triangle, is kept
-there too as the reference for the normal-form comparison, and so is the
+arithmetic; the bitset code is tested against them.  The earlier
+equivalence search over ordered triples of the target, ``equivalence_by_search``,
+is kept there too: it is the reference for the maps ``are_equivalent`` reads
+off the normal-form frames, down to which map a symmetric input gets, and,
+run against the candidate triangle, for the normal-form exception detection.
+So is the
 subset-sum table with its earlier box, depth times each coordinate's
 extremes, whose layers and digests the tight-box table must reproduce.
 The earlier bitset hull fill, a monotone-chain hull ring of the row ends
@@ -28,13 +31,14 @@ from wedgepower import (
     ConvexityReport,
     DimensionError,
     PointConfig,
-    are_equivalent,
+    apply_map,
     convex_hull_2d,
     exceptional_triangle,
     remove_vertex,
     vertex_set,
     wedge_power,
 )
+from wedgepower.geometry import _xgcd
 
 
 def _cross(o, a, b):
@@ -268,6 +272,117 @@ def ring_hull_fill(layer, width):
     return fill
 
 
+def _first_independent_triple(points):
+    if len(points) < 3:
+        return None
+    a, b = points[0], points[1]
+    for c in points[2:]:
+        if _cross(a, b, c) != 0:
+            return (a, b, c)
+    return None
+
+
+def _line_parameters(points):
+    """Affine coordinates of collinear points: base point, primitive step, sorted offsets."""
+    base = points[0]
+    other = next(p for p in points if p != base)
+    diff = tuple(b - a for a, b in zip(base, other))
+    g = math.gcd(*(abs(d) for d in diff))
+    step = tuple(d // g for d in diff)
+    axis = 0 if step[0] != 0 else 1
+    params = sorted((p[axis] - base[axis]) // step[axis] for p in points)
+    origin = tuple(b + params[0] * s for b, s in zip(base, step))
+    return origin, step, [t - params[0] for t in params]
+
+
+def _line_frame(origin, step):
+    """A unimodular map sending the x-axis onto the given lattice line."""
+    dx, dy = step
+    g, ex, ey = _xgcd(dx, dy)
+    # det of ((dx, -ey), (dy, ex)) is dx*ex + dy*ey = g = 1 for primitive steps
+    return AffineUnimodularMap(((dx, -ey), (dy, ex)), origin)
+
+
+def _equivalent_degenerate(source, target):
+    if len(source) == 1:
+        offset = tuple(b - a for a, b in zip(source.points[0], target.points[0]))
+        return AffineUnimodularMap.from_translation(offset)
+    s_origin, s_step, s_params = _line_parameters(source.points)
+    t_origin, t_step, t_params = _line_parameters(target.points)
+    frame_s = _line_frame(s_origin, s_step)
+    frame_t = _line_frame(t_origin, t_step)
+    span = s_params[-1]
+    candidates = []
+    if s_params == t_params:
+        candidates.append(frame_t.compose(frame_s.inverse()))
+    if [span - t for t in reversed(s_params)] == t_params:
+        flip = AffineUnimodularMap(((-1, 0), (0, 1)), (span, 0))
+        candidates.append(frame_t.compose(flip).compose(frame_s.inverse()))
+    for witness in candidates:
+        if apply_map(witness, source) == target:
+            return witness
+    return None
+
+
+def equivalence_by_search(source, target):
+    """The earlier ``are_equivalent``: a search over ordered triples of the target.
+
+    One affinely independent triple of the source is fixed; every ordered
+    triple of the target determines at most one affine map, which is kept if
+    it is integral with determinant +-1 and bijects the whole configuration.
+    Collinear and singleton configurations are matched by their gap patterns
+    along the line instead.
+    """
+    if source.dim != 2 or target.dim != 2:
+        raise DimensionError("equivalence search is for planar configurations")
+    if len(source) != len(target) or len(source) == 0:
+        return None
+    if len(vertex_set(source)) != len(vertex_set(target)):
+        return None
+
+    triple = _first_independent_triple(source.points)
+    if triple is None:
+        if _first_independent_triple(target.points) is not None:
+            return None
+        return _equivalent_degenerate(source, target)
+    if _first_independent_triple(target.points) is None:
+        return None
+
+    p0, p1, p2 = triple
+    u = (p1[0] - p0[0], p1[1] - p0[1])
+    v = (p2[0] - p0[0], p2[1] - p0[1])
+    det_a = u[0] * v[1] - u[1] * v[0]
+    src_set = source.points
+    tgt_sorted = target.points
+    for q0, q1, q2 in itertools.permutations(target.points, 3):
+        b1 = (q1[0] - q0[0], q1[1] - q0[1])
+        b2 = (q2[0] - q0[0], q2[1] - q0[1])
+        # M = [b1 b2] @ adj([u v]) / det([u v]), entries must divide evenly
+        m00 = b1[0] * v[1] - b2[0] * u[1]
+        m01 = -b1[0] * v[0] + b2[0] * u[0]
+        m10 = b1[1] * v[1] - b2[1] * u[1]
+        m11 = -b1[1] * v[0] + b2[1] * u[0]
+        if m00 % det_a or m01 % det_a or m10 % det_a or m11 % det_a:
+            continue
+        mat = ((m00 // det_a, m01 // det_a), (m10 // det_a, m11 // det_a))
+        if mat[0][0] * mat[1][1] - mat[0][1] * mat[1][0] not in (1, -1):
+            continue
+        shift = (
+            q0[0] - mat[0][0] * p0[0] - mat[0][1] * p0[1],
+            q0[1] - mat[1][0] * p0[0] - mat[1][1] * p0[1],
+        )
+        image = sorted(
+            (
+                mat[0][0] * p[0] + mat[0][1] * p[1] + shift[0],
+                mat[1][0] * p[0] + mat[1][1] * p[1] + shift[1],
+            )
+            for p in src_set
+        )
+        if tuple(image) == tgt_sorted:
+            return AffineUnimodularMap(mat, shift)
+    return None
+
+
 def exception_index(config):
     """The k-th exceptional triangle's index if ``config`` is equivalent to it, by search."""
     if config.dim != 2:
@@ -275,7 +390,7 @@ def exception_index(config):
     k = len(config) - 3
     if k < 1:
         return None
-    if are_equivalent(config, exceptional_triangle(k)) is not None:
+    if equivalence_by_search(config, exceptional_triangle(k)) is not None:
         return k
     return None
 

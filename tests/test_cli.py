@@ -4,6 +4,7 @@ import os
 import pytest
 
 import wedgepower.wedge as wedge_module
+from wedgepower import exceptional_triangle, truncated_quadrant
 from wedgepower.cli import main
 from wedgepower.jsonio import parse_point_config
 
@@ -159,6 +160,29 @@ class TestEquivalentCommand:
         code, out, _ = run(capsys, "equivalent", "--input", e1_file, "--input", square)
         assert code == 2
         assert json.loads(out) == {"equivalent": False, "map": None}
+
+    def test_sheared_square_prints_its_frozen_map(self, capsys, tmp_path):
+        # the square has eight symmetries, so eight maps carry it onto its image
+        square, sheared = tmp_path / "square.json", tmp_path / "sheared.json"
+        square.write_text(json.dumps({"dim": 2, "points": [[0, 0], [1, 0], [0, 1], [1, 1]]}))
+        # the image under x -> ((1, 1), (0, 1)) x + (3, -2)
+        sheared.write_text(json.dumps({"dim": 2, "points": [[3, -2], [4, -2], [4, -1], [5, -1]]}))
+        code, out, _ = run(capsys, "equivalent", "--input", square, "--input", sheared)
+        assert code == 0
+        assert out == (
+            '{\n  "equivalent": true,\n  "map": {\n    "matrix": [\n      [1, 1],\n'
+            '      [1, 0]\n    ],\n    "translation": [3, -2]\n  }\n}\n'
+        )
+
+    def test_large_inequivalent_triangles(self, capsys, tmp_path):
+        # 120 points and three corners each, but no map between them
+        quadrant, thin = tmp_path / "quadrant.json", tmp_path / "thin.json"
+        for path, config in ((quadrant, truncated_quadrant(14)), (thin, exceptional_triangle(117))):
+            assert len(config) == 120
+            path.write_text(json.dumps({"dim": 2, "points": [list(p) for p in config]}))
+        code, out, _ = run(capsys, "equivalent", "--input", quadrant, "--input", thin)
+        assert code == 2
+        assert out == '{\n  "equivalent": false,\n  "map": null\n}\n'
 
     def test_needs_two_inputs(self, capsys, e1_file):
         code, _, err = run(capsys, "equivalent", "--input", e1_file)

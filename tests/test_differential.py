@@ -4,8 +4,10 @@ Convexity, p-goodness and union decomposition are decided on the big
 integers of shared subset-sum tables; every answer, down to the missing
 points and the p-goodness witness, must equal what the earlier
 point-by-point implementations give.  Unimodular equivalence is decided by
-comparing normal forms; it must agree with the equivalence search, and the
-grid run's orbit reduction must report what examining every member would.
+comparing normal forms; it must agree with the earlier search over ordered
+triples, the map ``are_equivalent`` reads off the normal-form frames must be
+the very map that search finds first, and the grid run's orbit reduction
+must report what examining every member would.
 The subset-sum table's tight box must give the layers, counts, membership
 answers and digests of the table in its earlier, larger box.  The
 two-envelope ``hull_fill`` must give the earlier ring kernel's fill bit for
@@ -266,7 +268,7 @@ def test_tables_in_a_given_box_give_the_earlier_answers(case, data):
     _assert_same_table(inside, oracles.SubsetSumTable(rest, rest_depth, dim, box=reference_base))
 
 
-# --- the normal form against the equivalence search --------------------------
+# --- the normal form and its equivalence maps against the search -------------
 
 
 def test_exception_index_matches_the_search(grid_configs):
@@ -285,14 +287,17 @@ def test_grid_orbits(grid, orbits):
     for config in enumerate_lattice_convex(grid):
         members.setdefault(normal_form(config), []).append(config)
     assert len(members) == orbits
-    representatives = [orbit[0] for orbit in members.values()]
+    # the search finds a map within each orbit and none between orbits, and
+    # are_equivalent returns the very map it finds first
     for orbit in members.values():
-        for config in orbit[1:]:
-            assert are_equivalent(config, orbit[0]) is not None, (config, orbit[0])
-    for i, first in enumerate(representatives):
-        for second in representatives[i + 1:]:
-            if len(first) == len(second):
-                assert are_equivalent(first, second) is None, (first, second)
+        for source, target in itertools.product(orbit, repeat=2):
+            witness = oracles.equivalence_by_search(source, target)
+            assert witness is not None and are_equivalent(source, target) == witness, (source, target)
+    representatives = [orbit[0] for orbit in members.values()]
+    for source, target in itertools.permutations(representatives, 2):
+        if len(source) == len(target):
+            assert oracles.equivalence_by_search(source, target) is None, (source, target)
+            assert are_equivalent(source, target) is None, (source, target)
 
 
 # products of these generate every integer matrix of determinant +-1
@@ -320,13 +325,69 @@ def test_normal_form_is_an_equivalent_configuration(raw):
     config = PointConfig.of(raw)
     form = normal_form(config)
     assert form == tuple(sorted(form))
-    assert are_equivalent(PointConfig.of(form), config) is not None
+    assert oracles.equivalence_by_search(PointConfig.of(form), config) is not None
 
 
 @given(planar_sets, planar_sets)
 def test_equal_normal_forms_exactly_when_equivalent(first, second):
     a, b = PointConfig.of(first), PointConfig.of(second)
-    assert (normal_form(a) == normal_form(b)) == (are_equivalent(a, b) is not None)
+    assert (normal_form(a) == normal_form(b)) == (oracles.equivalence_by_search(a, b) is not None)
+
+
+def _assert_same_map(source, target):
+    assert are_equivalent(source, target) == oracles.equivalence_by_search(source, target), (
+        source,
+        target,
+    )
+
+
+@given(planar_sets, unimodular_maps)
+def test_equivalence_maps_match_the_search(raw, transform):
+    config = PointConfig.of(raw)
+    moved = apply_map(transform, config)
+    _assert_same_map(config, moved)
+    _assert_same_map(moved, config)
+
+
+SYMMETRIC = {
+    "unit-square": PointConfig.of([(0, 0), (1, 0), (0, 1), (1, 1)]),
+    "grid-3x3": PointConfig.of([(x, y) for x in range(3) for y in range(3)]),
+    **{f"exceptional-{k}": exceptional_triangle(k) for k in range(1, 7)},
+    "quadrant-8": truncated_quadrant(8),
+}
+
+
+@pytest.mark.parametrize("config", SYMMETRIC.values(), ids=SYMMETRIC.keys())
+def test_equivalence_maps_match_the_search_on_symmetric_inputs(config):
+    rng = random.Random(len(config))
+    transforms = [
+        AffineUnimodularMap.identity(2),
+        AffineUnimodularMap(((1, 1), (0, 1)), (3, -2)),
+        AffineUnimodularMap(((-1, 0), (0, 1)), (0, 0)),
+        AffineUnimodularMap(((0, 1), (1, 0)), (1, 1)),
+    ] + [oracles.random_unimodular(rng) for _ in range(4)]
+    for transform in transforms:
+        moved = apply_map(transform, config)
+        _assert_same_map(config, moved)
+        _assert_same_map(moved, config)
+
+
+def test_equivalence_maps_match_the_search_on_lines_and_points():
+    # offsets 0, 1, 3 read the other way are 0, 2, 3; 0, 1, 4 matches neither
+    patterns = ([0, 1, 3], [0, 2, 3], [0, 1, 4], [0, 5], [0, 2])
+    steps = ((1, 0), (0, 1), (2, 1), (-1, 3), (3, -2))
+    origins = ((0, 0), (4, -1))
+    lines = [
+        PointConfig.of([(ox + t * dx, oy + t * dy) for t in pattern])
+        for pattern in patterns
+        for dx, dy in steps
+        for ox, oy in origins
+    ]
+    for source, target in itertools.product(lines, repeat=2):
+        _assert_same_map(source, target)
+    points = [PointConfig.of([p]) for p in ((0, 0), (3, -4), (-7, 2))]
+    for source, target in itertools.product(points, repeat=2):
+        _assert_same_map(source, target)
 
 
 def test_orbit_members_inherit_a_representative_problem(monkeypatch):

@@ -151,6 +151,14 @@ class TestConvexityCheck:
         with pytest.raises(DimensionError, match="witness"):
             check_lattice_convex(PointConfig.of([(0, 0, 0), (1, 0, 0)]))
 
+    def test_dim3_table_refuses_a_hull_fill(self):
+        # laid out flat, the third point would sit on a row of the first two
+        table = SubsetSumTable([(0, 0, 0), (1, 1, 0), (0, 0, 1)], 1)
+        with pytest.raises(DimensionError):
+            table.hull_fill(1)
+        with pytest.raises(DimensionError):
+            table.check_convex(1)
+
     def test_report_serialization(self):
         report = check_lattice_convex(wedge_power(exceptional_triangle(1), 2))
         assert report.to_json() == {
