@@ -44,10 +44,10 @@ def _single_input(args: argparse.Namespace) -> PointConfig:
 
 def _parse_grid(text: str) -> GridSpec:
     try:
-        w, h = text.lower().split("x")
-        return GridSpec(int(w), int(h))
-    except (ValueError, TypeError) as exc:
+        w, h = map(int, text.lower().split("x"))
+    except ValueError as exc:
         raise UsageError(f"--grid expects WxH with integers, got {text!r}") from exc
+    return GridSpec(w, h)
 
 
 def _cmd_wedge(args: argparse.Namespace) -> int:
@@ -173,7 +173,7 @@ def build_parser() -> _Parser:
 
     add("counterexample3d", _cmd_counterexample3d, help="the three-dimensional witness run")
 
-    add("equivalent", _cmd_equivalent, help="search for a unimodular map between two configurations")
+    add("equivalent", _cmd_equivalent, help="a unimodular map between two configurations, read off their normal forms")
 
     p = add("render", _cmd_render, help="SVG dot diagram of a planar configuration")
     p.add_argument("--hull", action="store_true", help="draw the convex hull outline")

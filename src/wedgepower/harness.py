@@ -45,25 +45,43 @@ class GridSpec:
 
 
 def enumerate_lattice_convex(grid: GridSpec) -> list[PointConfig]:
-    """All lattice-convex subsets of the grid, deduplicated by translation.
+    """All lattice-convex subsets of the grid, one per translation class.
 
-    Each subset is shifted so its coordinate-wise minimum sits at the
-    origin before deduplication; the result is sorted by size and then by
-    point list so runs are reproducible.
+    A lattice-convex set is a run of row intervals [l, r], and a row inside
+    the run may be empty: the segment (0,0)-(1,2) has no lattice point on
+    row 1.  Rows are chosen depth first from y = 0 on a bitset in
+    hull_fill's layout, bit x + y * (width + 1), and a prefix is extended
+    only while it is lattice-convex: the hull of a set contains the hull of
+    each of its prefixes, so a prefix missing a hull point never gets it
+    back.  A set is kept when its top row is nonempty and some row starts
+    at x = 0, so each translation class appears once, moved to the origin.
+    The result is sorted by size and then by point list so runs are
+    reproducible.
     """
-    cells = grid.cells()
-    canons: set[tuple[Point, ...]] = set()
-    for mask in range(1, 1 << len(cells)):
-        # cells run x-major, so bit x * (height + 1) + y of the mask is (x, y):
-        # the mask is the subset's mirror image in hull_fill's row layout, and
-        # mirroring through the diagonal keeps lattice-convexity
-        if hull_fill(mask, grid.height + 1) != mask:
-            continue
-        subset = [cells[i] for i in range(len(cells)) if mask >> i & 1]
-        min_x = min(p[0] for p in subset)
-        min_y = min(p[1] for p in subset)
-        canons.add(tuple(sorted((p[0] - min_x, p[1] - min_y) for p in subset)))
-    return sorted((PointConfig(2, c) for c in canons), key=lambda c: (len(c), c.points))
+    row_width = grid.width + 1
+    found: list[tuple[Point, ...]] = []
+
+    def extend(prefix: int, y: int, points: list[Point], at_left: bool) -> None:
+        if y > grid.height:
+            return
+        for lo in range(row_width):
+            for hi in range(lo, row_width):
+                bits = prefix | ((1 << (hi - lo + 1)) - 1) << (y * row_width + lo)
+                if hull_fill(bits, row_width) != bits:
+                    # a wider top row only grows the hull over the same rows
+                    # below, so it misses the same points
+                    break
+                grown = points + [(x, y) for x in range(lo, hi + 1)]
+                left = at_left or lo == 0
+                if left:
+                    found.append(tuple(sorted(grown)))
+                extend(bits, y + 1, grown, left)
+        if y:
+            extend(prefix, y + 1, points, at_left)  # an empty row
+
+    extend(0, 0, [], False)
+    found.sort(key=lambda points: (len(points), points))
+    return [PointConfig(2, points) for points in found]
 
 
 # A configuration's table and one per hull-vertex deletion, in one box, so that

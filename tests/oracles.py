@@ -17,7 +17,8 @@ subset-sum table with its earlier box, depth times each coordinate's
 extremes, whose layers and digests the tight-box table must reproduce.
 The earlier bitset hull fill, a monotone-chain hull ring of the row ends
 cut row by row along its edges, is the reference for the two-envelope
-``hull_fill``.
+``hull_fill``, and the earlier grid enumerator, one ``hull_fill`` per mask
+over all 2^cells masks (``enumerate_by_masks``), for the row-interval one.
 """
 
 import hashlib
@@ -39,6 +40,7 @@ from wedgepower import (
     wedge_power,
 )
 from wedgepower.geometry import _xgcd
+from wedgepower.wedge import hull_fill
 
 
 def _cross(o, a, b):
@@ -201,7 +203,7 @@ def union_decomposition_holds(config, subset_size):
 
 
 def enumerate_lattice_convex(grid):
-    """Translation classes of lattice-convex grid subsets, by the mask loop."""
+    """Translation classes of lattice-convex grid subsets, by the tuple-path mask loop."""
     cells = grid.cells()
     seen = set()
     out = []
@@ -218,6 +220,27 @@ def enumerate_lattice_convex(grid):
             out.append(config)
     out.sort(key=lambda c: (len(c), c.points))
     return out
+
+
+def enumerate_by_masks(grid):
+    """Translation classes of lattice-convex grid subsets, one ``hull_fill`` per mask.
+
+    The library's earlier enumerator, which tries all 2^cells masks; the
+    row-interval enumerator must give the same list.
+    """
+    cells = grid.cells()
+    canons = set()
+    for mask in range(1, 1 << len(cells)):
+        # cells run x-major, so bit x * (height + 1) + y of the mask is (x, y):
+        # the mask is the subset's mirror image in hull_fill's row layout, and
+        # mirroring through the diagonal keeps lattice-convexity
+        if hull_fill(mask, grid.height + 1) != mask:
+            continue
+        subset = [cells[i] for i in range(len(cells)) if mask >> i & 1]
+        min_x = min(p[0] for p in subset)
+        min_y = min(p[1] for p in subset)
+        canons.add(tuple(sorted((p[0] - min_x, p[1] - min_y) for p in subset)))
+    return sorted((PointConfig(2, c) for c in canons), key=lambda c: (len(c), c.points))
 
 
 def _hull_ring(pts):

@@ -209,3 +209,16 @@ def test_criterion_8_octant_bridge():
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
     _report(8, elapsed, "level-25 octant points are exactly the 44 low and on-level points")
+
+
+def test_criterion_9_five_by_five_cell_grid():
+    # the earlier mask loop over all 2^25 masks took about six minutes on a
+    # 2-vCPU Xeon just to enumerate, so the budget also guards against a return to it
+    start = time.perf_counter()
+    summary = verify_grid(GridSpec(4, 4))
+    assert summary.violations == []
+    assert summary.config_count == 18019
+    assert summary.exceptions_seen == {1: 12, 2: 28, 3: 12}
+    elapsed = time.perf_counter() - start
+    assert elapsed < 120.0
+    _report(9, elapsed, "all 18019 lattice-convex subsets of the 4x4 grid conform, zero violations")

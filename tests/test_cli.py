@@ -275,6 +275,13 @@ class TestErrorHandling:
         assert code == 1
         assert "WxH" in err
 
+    def test_negative_grid_extent(self, capsys):
+        code, out, err = run(capsys, "verify-grid", "--grid=-1x2")
+        assert code == 1
+        assert out == ""
+        assert "grid extents must be nonnegative" in err
+        assert "WxH" not in err
+
     def test_grid_budget(self, capsys):
         code, _, err = run(capsys, "verify-grid", "--grid", "9x9")
         assert code == 1

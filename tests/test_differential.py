@@ -11,12 +11,15 @@ must report what examining every member would.
 The subset-sum table's tight box must give the layers, counts, membership
 answers and digests of the table in its earlier, larger box.  The
 two-envelope ``hull_fill`` must give the earlier ring kernel's fill bit for
-bit, and a table's ``check_convex`` the tuple-path report.
+bit, and a table's ``check_convex`` the tuple-path report.  The
+row-interval grid enumerator must list what the mask loop over all 2^cells
+masks lists, and on grids past that loop's reach it must hold the hull
+lattice points of random grid points.
 """
 
 import itertools
 import random
-from functools import reduce
+from functools import lru_cache, reduce
 
 import pytest
 from hypothesis import example, given
@@ -57,6 +60,37 @@ def grid_configs():
 def test_enumeration_matches_the_mask_loop():
     for grid in GRIDS:
         assert enumerate_lattice_convex(grid) == oracles.enumerate_lattice_convex(grid)
+
+
+# every grid of at most 12 cells, single rows and columns among them, and the
+# 16-cell grids of each shape
+SMALL_GRIDS = [GridSpec(w, h) for w in range(12) for h in range(12) if (w + 1) * (h + 1) <= 12]
+SIXTEEN_CELL_GRIDS = [GridSpec(3, 3), GridSpec(7, 1), GridSpec(15, 0)]
+
+
+@pytest.mark.parametrize("grid", SMALL_GRIDS + SIXTEEN_CELL_GRIDS, ids=lambda g: f"{g.width}x{g.height}")
+def test_row_intervals_match_the_hull_fill_mask_loop(grid):
+    assert enumerate_lattice_convex(grid) == oracles.enumerate_by_masks(grid)
+
+
+@lru_cache(maxsize=None)
+def _enumerated(size):
+    """The classes of the size x size grid, past GridSpec's cell budget."""
+    grid = object.__new__(GridSpec)
+    object.__setattr__(grid, "width", size)
+    object.__setattr__(grid, "height", size)
+    return frozenset(config.points for config in enumerate_lattice_convex(grid))
+
+
+@pytest.mark.parametrize("size", [4, 5])
+@given(st.data())
+def test_hull_points_of_grid_points_are_enumerated(size, data):
+    coordinate = st.integers(0, size)
+    raw = data.draw(st.lists(st.tuples(coordinate, coordinate), min_size=1, max_size=6))
+    hull = oracles.hull_lattice_points(set(raw))
+    min_x = min(x for x, _ in hull)
+    min_y = min(y for _, y in hull)
+    assert tuple(sorted((x - min_x, y - min_y) for x, y in hull)) in _enumerated(size)
 
 
 def test_verify_polygon_per_size_matches(grid_configs):

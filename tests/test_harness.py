@@ -10,6 +10,7 @@ from wedgepower import (
     enumerate_lattice_convex,
     exceptional_triangle,
     is_p_good,
+    normal_form,
     remove_vertex,
     union_decomposition_holds,
     verify_grid,
@@ -52,6 +53,18 @@ class TestEnumeration:
 
     def test_four_by_three_cells_frozen_count(self):
         assert len(enumerate_lattice_convex(GridSpec(3, 2))) == 420
+
+    def test_a_row_inside_may_be_empty(self):
+        # the segment (0,0)-(1,2) has no lattice point on row 1
+        configs = enumerate_lattice_convex(GridSpec(1, 2))
+        assert PointConfig.of([(0, 0), (1, 2)]) in configs
+        assert len(configs) == 30
+
+    def test_five_by_five_cells_frozen_counts(self):
+        # 18,019 classes, as the mask loop over all 2^25 masks also finds
+        configs = enumerate_lattice_convex(GridSpec(4, 4))
+        assert len(configs) == 18019
+        assert len({normal_form(c) for c in configs}) == 1522
 
     def test_budget_guard(self):
         with pytest.raises(BudgetError):
