@@ -63,17 +63,13 @@ def _plane_normal(a: Point, b: Point, c: Point) -> Optional[tuple[int, ...]]:
     return tuple(x // g for x in n) if g else None
 
 
-def _primitive_normal(a: Point, b: Point, c: Point) -> tuple[int, ...]:
-    n = _plane_normal(a, b, c)
-    return n if n > (0, 0, 0) else tuple(-x for x in n)
-
-
 def build_colored_simplex() -> ColoredSimplex:
     """Construct and cross-check the colored simplex.
 
-    The separating form is rederived from the frozen on-level points (it is
-    the primitive normal of their plane) before the split is made, and the
-    split must reproduce those points and the 40/40/4 counts exactly.
+    The separating form is rederived from the frozen on-level points (it is,
+    up to sign, the primitive normal of their plane) before the split is
+    made, and the split must reproduce those points and the 40/40/4 counts
+    exactly.
     """
     points = PointConfig.of(
         [
@@ -87,8 +83,8 @@ def build_colored_simplex() -> ColoredSimplex:
         raise RuntimeError(f"simplex has {len(points)} points, expected 84")
 
     p1, p2, _, p4 = LEVEL_POINTS
-    normal = _primitive_normal(p1, p2, p4)
-    if normal != LEVEL_COEFFS:
+    normal = _plane_normal(p1, p2, p4)
+    if normal not in (LEVEL_COEFFS, tuple(-c for c in LEVEL_COEFFS)):
         raise RuntimeError(f"plane normal {normal} does not match {LEVEL_COEFFS}")
     functional = LinearFunctional(LEVEL_COEFFS)
     if any(functional(p) != LEVEL_VALUE for p in LEVEL_POINTS):
@@ -223,10 +219,11 @@ def quadrant_points_below(functional: LinearFunctional, cap: int) -> PointConfig
 def plane_coordinates(config: PointConfig) -> PointConfig:
     """Two-dimensional lattice coordinates of a coplanar 3D configuration.
 
-    The points must span a genuine plane.  A basis of that plane's
-    intersection with the integer lattice is computed from its primitive
-    normal, so the resulting planar configuration is unimodularly faithful:
-    lattice points of the plane correspond exactly to integer pairs.
+    The points must span a genuine plane.  Its primitive normal and the two
+    rows of ``_plane_chart`` form a unimodular matrix, and each point p goes
+    to those two rows applied to p - p0, so the resulting planar
+    configuration is unimodularly faithful: lattice points of the plane
+    correspond exactly to integer pairs.
     """
     pts = config.points
     if config.dim != 3 or len(pts) < 3:
@@ -240,63 +237,24 @@ def plane_coordinates(config: PointConfig) -> PointConfig:
     if any(sum(n * c for n, c in zip(normal, p)) != level for p in pts):
         raise ValueError("points are not coplanar")
 
-    basis = _kernel_basis(normal)
-    coords = []
-    for p in pts:
-        diff = tuple(y - x for x, y in zip(base, p))
-        coords.append(_solve_in_basis(basis, diff))
+    rows = _plane_chart(normal)
+    coords = [
+        tuple(sum(r * (y - x) for r, x, y in zip(row, base, p)) for row in rows) for p in pts
+    ]
     return PointConfig.of(coords, dim=2)
 
 
-def _kernel_basis(normal: Sequence[int]) -> tuple[Point, Point]:
-    """A lattice basis of {v in Z^3 : normal . v = 0} for a primitive normal."""
-    g01, x, y = _xgcd(normal[0], normal[1])
-    g, s, t = _xgcd(g01, normal[2])
-    assert g == 1, "normal must be primitive"
-    pivot = (s * x, s * y, t)  # functional value 1
-    images = []
-    for i in range(3):
-        e = tuple(int(i == j) for j in range(3))
-        w = tuple(ec - normal[i] * pc for ec, pc in zip(e, pivot))
-        images.append(w)
-    # reduce the three spanning vectors to two by integer row elimination;
-    # row operations preserve the lattice they generate
-    rows = [list(w) for w in images]
-    basis: list[Point] = []
-    for col in range(3):
-        nonzero = [r for r in rows if r[col] != 0]
-        if not nonzero:
-            continue
-        while len(nonzero) > 1:
-            nonzero.sort(key=lambda r: abs(r[col]))
-            lead = nonzero[0]
-            for r in nonzero[1:]:
-                q = r[col] // lead[col]
-                for j in range(3):
-                    r[j] -= q * lead[j]
-            nonzero = [r for r in nonzero if r[col] != 0]
-        lead = nonzero[0]
-        basis.append(tuple(lead))
-        rows = [r for r in rows if r is not lead and any(r)]
-        if len(basis) == 2:
-            break
-    assert len(basis) == 2
-    return basis[0], basis[1]
+def _plane_chart(normal: Sequence[int]) -> tuple[Point, Point]:
+    """Two rows that complete a primitive normal (a, b, c) to a unimodular matrix.
 
-
-def _solve_in_basis(basis: tuple[Point, Point], target: Point) -> Point:
-    """Integer (a, b) with a * basis[0] + b * basis[1] == target."""
-    v1, v2 = basis
-    for i, j in itertools.combinations(range(3), 2):
-        det = v1[i] * v2[j] - v1[j] * v2[i]
-        if det == 0:
-            continue
-        a_num = target[i] * v2[j] - target[j] * v2[i]
-        b_num = v1[i] * target[j] - v1[j] * target[i]
-        if a_num % det or b_num % det:
-            raise ValueError(f"{target} is not a lattice combination of the basis")
-        a, b = a_num // det, b_num // det
-        if all(a * x + b * y == t for x, y, t in zip(v1, v2, target)):
-            return (a, b)
-        raise ValueError(f"{target} is outside the plane lattice")
-    raise ValueError("degenerate basis")
+    With g = gcd(a, b) = a*x + b*y and g*s + c*t = 1, the rows (-y, x, 0)
+    and (-t*a/g, -t*b/g, s) together with the normal have determinant
+    s*g + c*t = 1.  The normal (0, 0, +-1), where g = 0, takes the x and y
+    rows instead.
+    """
+    a, b, c = normal
+    g, x, y = _xgcd(a, b)
+    if g == 0:
+        return (1, 0, 0), (0, 1, 0)
+    _, s, t = _xgcd(g, c)
+    return (-y, x, 0), (-t * a // g, -t * b // g, s)

@@ -439,8 +439,7 @@ def exceptional_triangle(index: int) -> PointConfig:
     """
     if index < 1:
         raise ValueError("exceptional triangles are indexed from 1")
-    corners = PointConfig.of([(0, 1), (index, 0), (-1, -1)])
-    return lattice_points_of_polytope(convex_hull_2d(corners))
+    return PointConfig.of([(0, 1), (-1, -1)] + [(x, 0) for x in range(index + 1)])
 
 
 def exception_index(config: PointConfig) -> Optional[int]:

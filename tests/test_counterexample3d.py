@@ -1,9 +1,17 @@
+import itertools
+import math
+from functools import reduce
+
 import pytest
+from hypothesis import assume, example, given
+from hypothesis import strategies as st
 
 from wedgepower import (
+    AffineUnimodularMap,
     LinearFunctional,
     PointConfig,
     SubsetSumTable,
+    apply_map,
     are_equivalent,
     build_colored_simplex,
     check_lattice_convex,
@@ -13,6 +21,8 @@ from wedgepower import (
     wedge_power,
     witness_point,
 )
+from wedgepower.counterexample3d import _plane_chart, _plane_normal
+from wedgepower.geometry import _det
 
 import oracles
 
@@ -114,6 +124,66 @@ class TestPlaneCoordinates:
         cloud = PointConfig.of([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
         with pytest.raises(ValueError):
             plane_coordinates(cloud)
+
+
+# the elementary row additions of Z^3, a sign change and a swap: their
+# products are the integer matrices of determinant +-1
+ELEMENTARY = tuple(
+    tuple(tuple(int(r == c) + k * int((r, c) == (i, j)) for c in range(3)) for r in range(3))
+    for i, j in itertools.permutations(range(3), 2)
+    for k in (1, -1)
+) + (((-1, 0, 0), (0, 1, 0), (0, 0, 1)), ((0, 1, 0), (1, 0, 0), (0, 0, 1)))
+spatial_maps = st.builds(
+    lambda factors, shift: reduce(
+        lambda inner, f: AffineUnimodularMap(f, (0, 0, 0)).compose(inner),
+        factors,
+        AffineUnimodularMap.from_translation(shift),
+    ),
+    st.lists(st.sampled_from(ELEMENTARY), max_size=8),
+    st.tuples(*[st.integers(-9, 9)] * 3),
+)
+
+
+@st.composite
+def coplanar_sets(draw):
+    """3 to 8 points u*e + v*f + o of a plane, not all on one line."""
+    e, f, o = (draw(st.tuples(*[st.integers(-4, 4)] * 3)) for _ in range(3))
+    assume(_plane_normal((0, 0, 0), e, f) is not None)
+    planar = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * 2), min_size=3, max_size=8, unique=True))
+    (u0, v0), rest = planar[0], planar[1:]
+    pairs = itertools.combinations(rest, 2)
+    assume(any((u - u0) * (y - v0) != (x - u0) * (v - v0) for (u, v), (x, y) in pairs))
+    return PointConfig.of([tuple(u * a + v * b + c for a, b, c in zip(e, f, o)) for u, v in planar])
+
+
+class TestPlaneChart:
+    @given(st.tuples(*[st.integers(-6, 6)] * 3))
+    @example((0, 0, 1))
+    @example((0, 0, -1))
+    def test_chart_completes_a_primitive_normal_to_a_unimodular_matrix(self, normal):
+        assume(math.gcd(*normal) == 1)
+        assert _det((normal, *_plane_chart(normal))) in (1, -1)
+
+    @given(coplanar_sets(), spatial_maps)
+    def test_chart_is_injective_and_unimodularly_invariant(self, config, transform):
+        planar = plane_coordinates(config)
+        assert len(planar) == len(config)
+        moved = plane_coordinates(apply_map(transform, config))
+        assert are_equivalent(planar, moved) is not None
+
+    def test_horizontal_plane_keeps_x_and_y(self):
+        # the normal (0, 0, 1), where gcd(a, b) = 0, keeps x and y as they are
+        config = PointConfig.of([(0, 0, 5), (3, 1, 5), (1, 2, 5), (0, 4, 5), (2, -1, 5)])
+        assert plane_coordinates(config) == PointConfig.of([(0, 0), (3, 1), (1, 2), (0, 4), (2, -1)])
+
+    @pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
+    def test_normal_with_one_zero_component(self, order):
+        # the plane x + 2y = 3 holds exactly the points (3 - 2t, t, z)
+        params = [(0, 0), (1, 0), (0, 4), (2, 1), (1, -2)]
+        spatial = [(3 - 2 * t, t, z) for t, z in params]
+        config = PointConfig.of([tuple(p[i] for i in order) for p in spatial])
+        planar = plane_coordinates(config)
+        assert are_equivalent(planar, PointConfig.of(params)) is not None
 
 
 class TestMediumScaleTable:

@@ -9,7 +9,8 @@ triples, the map ``are_equivalent`` reads off the normal-form frames must be
 the very map that search finds first, and the grid run's orbit reduction
 must report what examining every member would.
 The subset-sum table's tight box must give the layers, counts, membership
-answers and digests of the table in its earlier, larger box.  The
+answers and digests of the table in its earlier, larger box, and a
+translated table's layers must be the original's, moved.  The
 two-envelope ``hull_fill`` must give the earlier ring kernel's fill bit for
 bit, and a table's ``check_convex`` the tuple-path report.  The
 row-interval grid enumerator must list what the mask loop over all 2^cells
@@ -300,6 +301,18 @@ def test_tables_in_a_given_box_give_the_earlier_answers(case, data):
     assert (inside.box_lo, inside.box_hi) == (base.box_lo, base.box_hi)
     reference_base = oracles.SubsetSumTable(points, depth, dim)
     _assert_same_table(inside, oracles.SubsetSumTable(rest, rest_depth, dim, box=reference_base))
+
+
+@given(point_sets, st.data())
+def test_tables_are_translation_equivariant(points, data):
+    # wedge_c(S + t) = wedge_c(S) + c*t, whatever boxes the two tables pick
+    shift = data.draw(st.tuples(*[st.integers(-5, 5)] * len(points[0])))
+    table = SubsetSumTable(points, len(points))
+    moved = SubsetSumTable([tuple(map(sum, zip(p, shift))) for p in points], len(points))
+    for size in range(len(points) + 1):
+        expected = sorted(tuple(x + size * t for x, t in zip(p, shift)) for p in table.points_at(size))
+        assert sorted(moved.points_at(size)) == expected
+        assert moved.count(size) == table.count(size)
 
 
 # --- the normal form and its equivalence maps against the search -------------

@@ -262,6 +262,11 @@ class TestExceptionIndex:
     def test_square_is_not_exceptional(self):
         assert exception_index(PointConfig.of([(0, 0), (1, 0), (0, 1), (1, 1)])) is None
 
+    @pytest.mark.parametrize("k", range(1, 21))
+    def test_closed_form_is_the_hull_lattice_points(self, k):
+        corners = PointConfig.of([(0, 1), (k, 0), (-1, -1)])
+        assert exceptional_triangle(k) == lattice_points_of_polytope(convex_hull_2d(corners))
+
     def test_detected_through_random_maps(self):
         rng = random.Random(99)
         for k in range(1, 7):
