@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .geometry import LinearFunctional, Point, PointConfig, _xgcd
 from .wedge import SubsetSumTable
 
@@ -157,6 +155,8 @@ def verify_counterexample(simplex: Optional[ColoredSimplex] = None) -> Counterex
     (low sum plus each pair from the outer on-level triple), and that
     identity is checked in exact integers.
     """
+    import numpy as np
+
     if simplex is None:
         simplex = build_colored_simplex()
     table = SubsetSumTable(simplex.points.points, WEDGE_DEPTH)

@@ -23,6 +23,8 @@ def parse_point_config(text: str, source: str = "<input>") -> PointConfig:
         raise InputFormatError(
             f"{source}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError as exc:
+        raise InputFormatError(f"{source}: JSON nested too deeply") from exc
     if not isinstance(data, dict):
         raise InputFormatError(f"{source}: top level must be an object")
     if "dim" not in data or "points" not in data:

@@ -7,6 +7,10 @@ points can reach.  Feeding one point at a time and updating layers from the
 top down keeps each point to a single use, and the whole update is one
 shifted OR on a big integer, so the inner loop is bit-parallel.  A naive
 oracle that walks all C(N, p) subsets backs it up at small sizes.
+
+numpy is imported only by the methods that extract whole layers in bulk
+(``coords``, ``points_at``, ``digest``): the planar checks read a few points
+at a time through ``points_of`` and never pay for its import.
 """
 
 import hashlib
@@ -14,15 +18,17 @@ import itertools
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from math import comb, prod
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .geometry import BudgetError, DimensionError, Point, PointConfig, _ceil_envelope
+
+if TYPE_CHECKING:
+    import numpy as np
 
 NAIVE_SUBSET_LIMIT = 10_000_000
 TABLE_BIT_BUDGET = 1 << 33  # cells times layers of one SubsetSumTable: 1 GiB of bitsets
 _DIGEST_CHUNK = 1 << 16  # bytes of a digest's layout hashed at a time
+_SET_BITS = tuple(tuple(i for i in range(8) if byte >> i & 1) for byte in range(256))
 
 
 class SubsetSumTable:
@@ -128,14 +134,39 @@ class SubsetSumTable:
         return ConvexityReport(not missing, points, layer.bit_count())
 
     def points_of(self, bits: int) -> list[Point]:
-        """The points of a bitset laid out in this table's box."""
-        return list(map(tuple, self._unpack(bits).tolist()))
+        """The points of a bitset laid out in this table's box, in flat order.
 
-    def coords(self, size: int) -> np.ndarray:
+        A walk over the bitset's nonzero bytes with a table of each byte's
+        set bits, in plain Python: its cost is linear in the box's bytes
+        plus the points found.  The last byte's bits past the box's last
+        cell are ignored.
+        """
+        cells, first = self.total_cells, self.box_lo[0]
+        # (stride, low corner) from the last coordinate down to the second; the first is what remains
+        steps = tuple(zip(self._strides[:0:-1], self.box_lo[:0:-1]))
+        raw = bits.to_bytes((cells + 7) // 8, "little")
+        points = []
+        for index in itertools.compress(range(len(raw)), raw):
+            for bit in _SET_BITS[raw[index]]:
+                flat = 8 * index + bit
+                if flat >= cells:
+                    break
+                point = []
+                for stride, lo in steps:
+                    c, flat = divmod(flat, stride)
+                    point.append(c + lo)
+                point.append(flat + first)
+                point.reverse()
+                points.append(tuple(point))
+        return points
+
+    def coords(self, size: int) -> "np.ndarray":
         """All sums of ``size`` distinct points as an (n, dim) int64 array."""
         return self._unpack(self.layer(size))
 
-    def _unpack(self, layer: int) -> np.ndarray:
+    def _unpack(self, layer: int) -> "np.ndarray":
+        import numpy as np
+
         nbytes = (self.total_cells + 7) // 8
         raw = layer.to_bytes(nbytes, "little")
         bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
@@ -150,7 +181,7 @@ class SubsetSumTable:
     def points_at(self, size: int) -> list[Point]:
         return list(map(tuple, self.coords(size).tolist()))
 
-    def digest(self, size: int, coords: Optional[np.ndarray] = None) -> str:
+    def digest(self, size: int, coords: Optional["np.ndarray"] = None) -> str:
         """Stable fingerprint of one layer, for regression comparisons.
 
         The layer is hashed as laid out in the digest box, each coordinate
@@ -159,6 +190,8 @@ class SubsetSumTable:
         the box the table is built in.  ``coords`` may pass the layer's
         already extracted ``coords(size)``.
         """
+        import numpy as np
+
         lo, hi = self._digest_box
         shape = [b - a + 1 for a, b in zip(lo, hi)]
         cells = prod(shape)

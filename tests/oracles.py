@@ -19,6 +19,8 @@ The earlier bitset hull fill, a monotone-chain hull ring of the row ends
 cut row by row along its edges, is the reference for the two-envelope
 ``hull_fill``, and the earlier grid enumerator, one ``hull_fill`` per mask
 over all 2^cells masks (``enumerate_by_masks``), for the row-interval one.
+The numpy unpacking that ``SubsetSumTable.points_of`` once ran
+(``points_of``) is the reference for its plain-Python byte walk.
 """
 
 import hashlib
@@ -470,3 +472,8 @@ class SubsetSumTable:
         h.update(repr((self.dim, self.box_lo, self.box_hi, size)).encode())
         h.update(self.layers[size].to_bytes((self.total_cells + 7) // 8, "little"))
         return h.hexdigest()
+
+
+def points_of(table, bits):
+    """The points of a bitset in ``table``'s box, through the table's numpy unpacking."""
+    return list(map(tuple, table._unpack(bits).tolist()))

@@ -1,8 +1,12 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import wedgepower
 import wedgepower.wedge as wedge_module
 from wedgepower import exceptional_triangle, truncated_quadrant
 from wedgepower.cli import main
@@ -248,6 +252,16 @@ class TestErrorHandling:
         assert code == 1
         assert "line" in err and "column" in err
 
+    def test_deeply_nested_json(self, tmp_path):
+        # past the JSON decoder's recursion limit: a named cause, not a traceback
+        deep = tmp_path / "deep.json"
+        deep.write_text('{"dim": 2, "points": ' + "[" * 200_000 + "]" * 200_000 + "}")
+        result = _run_python(["-m", "wedgepower", "check-convex", "--input", str(deep)])
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert result.stderr.startswith("error:") and "nested too deeply" in result.stderr
+        assert "Traceback" not in result.stderr
+
     def test_duplicate_point_named(self, capsys, tmp_path):
         dup = tmp_path / "dup.json"
         dup.write_text('{"dim": 2, "points": [[0, 1], [0, 1]]}')
@@ -286,3 +300,49 @@ class TestErrorHandling:
         code, _, err = run(capsys, "verify-grid", "--grid", "9x9")
         assert code == 1
         assert "budget" in err
+
+
+def _run_python(args):
+    """Run a fresh interpreter on this checkout's wedgepower."""
+    env = dict(os.environ, PYTHONPATH=str(Path(wedgepower.__file__).resolve().parents[1]))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=120)
+
+
+PLANAR_RUNS = """
+import contextlib, io, json, sys
+import wedgepower
+from wedgepower import exceptional_triangle
+from wedgepower.cli import main
+from wedgepower.jsonio import config_to_json, dumps
+
+def write(name, points):
+    path = f"{sys.argv[1]}/{name}.json"
+    with open(path, "w") as handle:
+        handle.write(dumps(config_to_json(wedgepower.PointConfig.of(points, dim=2))))
+    return path
+
+e1 = write("e1", exceptional_triangle(1).points)
+gap = write("gap", [(0, 0), (2, 0)])
+pentagon = write("pentagon", [(0, 0), (2, 0), (3, 1), (1, 3), (-1, 1), (1, 1)])
+runs = [
+    ["verify-grid", "--grid", "2x2"],
+    ["verify-polygon", "--input", e1],
+    ["check-convex", "--input", gap],
+    ["p-good", "--input", pentagon, "-p", "2"],
+    ["cornercut", "-d", "2", "-B", "3"],
+    ["equivalent", "--input", e1, "--input", e1],
+    ["render", "--input", e1, "--hull"],
+]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(argv) for argv in runs]
+print(json.dumps({"codes": codes, "numpy_loaded": "numpy" in sys.modules}))
+"""
+
+
+def test_planar_commands_never_load_numpy(tmp_path):
+    # only the 3D witness, the wedge command and layer digests need numpy
+    result = _run_python(["-c", PLANAR_RUNS, str(tmp_path)])
+    assert result.returncode == 0, result.stderr
+    outcome = json.loads(result.stdout)
+    assert outcome["codes"] == [0, 0, 2, 0, 0, 0, 0]
+    assert not outcome["numpy_loaded"]

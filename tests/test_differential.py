@@ -10,7 +10,8 @@ the very map that search finds first, and the grid run's orbit reduction
 must report what examining every member would.
 The subset-sum table's tight box must give the layers, counts, membership
 answers and digests of the table in its earlier, larger box, and a
-translated table's layers must be the original's, moved.  The
+translated table's layers must be the original's, moved, and the byte walk
+of ``points_of`` must list a bitset's points as the numpy unpacking does.  The
 two-envelope ``hull_fill`` must give the earlier ring kernel's fill bit for
 bit, and a table's ``check_convex`` the tuple-path report.  The
 row-interval grid enumerator must list what the mask loop over all 2^cells
@@ -313,6 +314,21 @@ def test_tables_are_translation_equivariant(points, data):
         expected = sorted(tuple(x + size * t for x, t in zip(p, shift)) for p in table.points_at(size))
         assert sorted(moved.points_at(size)) == expected
         assert moved.count(size) == table.count(size)
+
+
+@given(tables(), st.data(), st.randoms(use_true_random=False))
+def test_points_of_lists_what_the_numpy_unpacking_lists(case, data, rng):
+    points, depth = case
+    table = SubsetSumTable(points, depth)
+    if data.draw(st.booleans()):  # a table of fewer points in the larger box
+        rest = data.draw(st.lists(st.sampled_from(points), unique=True))
+        rest_depth = data.draw(st.integers(0, min(depth, len(rest))))
+        table = SubsetSumTable(rest, rest_depth, dim=table.dim, box=table)
+    cells = table.total_cells
+    layer = table.layer(data.draw(st.integers(0, table.depth)))
+    spare = rng.getrandbits(-cells % 8) << cells  # the last byte's bits past the box
+    for bits in (0, layer, layer & rng.getrandbits(cells), layer | spare):
+        assert table.points_of(bits) == oracles.points_of(table, bits)
 
 
 # --- the normal form and its equivalence maps against the search -------------

@@ -1,6 +1,8 @@
 import hashlib
+import itertools
 import random
 import tracemalloc
+from math import prod
 
 import pytest
 from hypothesis import given
@@ -272,6 +274,33 @@ class TestSubsetSumTable:
         monkeypatch.setattr(wedge_module, "TABLE_BIT_BUDGET", 17)
         with pytest.raises(BudgetError):
             SubsetSumTable(pts, 2)
+
+    @given(
+        st.integers(1, 3).flatmap(
+            lambda dim: st.lists(st.tuples(*[st.integers(-3, 3)] * dim), min_size=1, max_size=6, unique=True)
+        ),
+        st.data(),
+    )
+    def test_budget_refuses_exactly_the_tables_above_it(self, points, data):
+        depth = data.draw(st.integers(0, len(points)))
+        # the tight box, from every sum of at most depth distinct points
+        sums = [
+            tuple(map(sum, zip((0,) * len(points[0]), *subset)))
+            for size in range(depth + 1)
+            for subset in itertools.combinations(points, size)
+        ]
+        lo, hi = tuple(map(min, zip(*sums))), tuple(map(max, zip(*sums)))
+        needed = (depth + 1) * prod(b - a + 1 for a, b in zip(lo, hi))
+        budget = data.draw(st.one_of(st.integers(0, 2 * needed), st.sampled_from([needed - 1, needed])))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(wedge_module, "TABLE_BIT_BUDGET", budget)
+            if needed > budget:
+                with pytest.raises(BudgetError, match="table budget"):
+                    SubsetSumTable(points, depth)
+                return
+            table = SubsetSumTable(points, depth)
+        assert (table.box_lo, table.box_hi) == (lo, hi)
+        assert all(a <= 0 <= b for a, b in zip(table.box_lo, table.box_hi))
 
     def test_digest_layout_beyond_the_budget_is_refused(self, monkeypatch):
         # unit vectors at depth 4: a [0, 1]^4 box of 16 cells x 5 layers, a [0, 4]^4 digest layout
