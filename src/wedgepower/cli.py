@@ -12,9 +12,9 @@ from typing import Optional, Sequence
 
 from . import cornercut as cornercut_mod
 from . import counterexample3d as cx3d
-from .geometry import BudgetError, DimensionError, PointConfig, are_equivalent
+from .geometry import BudgetError, PointConfig, are_equivalent
 from .harness import GridSpec, is_p_good, verify_grid, verify_polygon
-from .jsonio import InputFormatError, config_to_json, dumps, read_point_config
+from .jsonio import config_to_json, dumps, read_point_config
 from .render import render_svg
 from .wedge import check_lattice_convex, wedge_power
 
@@ -189,7 +189,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except UsageError as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    except (InputFormatError, BudgetError, DimensionError, ValueError, OSError) as exc:
+    except (BudgetError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError:

@@ -170,10 +170,12 @@ class AffineUnimodularMap:
         return AffineUnimodularMap(mat, self.apply(inner.translation))
 
     def inverse(self) -> "AffineUnimodularMap":
-        d = self.det
-        adj = _adjugate(self.matrix)
-        inv = tuple(tuple(v // d for v in row) for row in adj)
-        shift = tuple(-sum(inv[i][j] * self.translation[j] for j in range(self.dim)) for i in range(self.dim))
+        d, n = self.det, self.dim
+        # the adjugate's entry (i, j) is the signed determinant of minor (j, i)
+        inv = tuple(
+            tuple((-1) ** (i + j) * _det(_minor(self.matrix, j, i)) // d for j in range(n)) for i in range(n)
+        )
+        shift = tuple(-sum(inv[i][j] * self.translation[j] for j in range(n)) for i in range(n))
         return AffineUnimodularMap(inv, shift)
 
 
@@ -196,41 +198,23 @@ def cross(o: Point, a: Point, b: Point) -> int:
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
+def _minor(matrix: Sequence[Sequence[int]], i: int, j: int) -> tuple[tuple[int, ...], ...]:
+    """The matrix without row ``i`` and column ``j``."""
+    return tuple(tuple(v for c, v in enumerate(row) if c != j) for r, row in enumerate(matrix) if r != i)
+
+
 def _det(matrix: Sequence[Sequence[int]]) -> int:
+    """Determinant up to 3x3, expanded along the first row; the empty matrix has determinant 1."""
     n = len(matrix)
+    if n == 0:
+        return 1
     if n == 1:
         return matrix[0][0]
     if n == 2:
         return matrix[0][0] * matrix[1][1] - matrix[0][1] * matrix[1][0]
     if n == 3:
-        m = matrix
-        return (
-            m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-        )
+        return sum((-1) ** j * matrix[0][j] * _det(_minor(matrix, 0, j)) for j in range(n))
     raise DimensionError("determinants supported up to 3x3")
-
-
-def _adjugate(matrix: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
-    n = len(matrix)
-    if n == 1:
-        return ((1,),)
-    if n == 2:
-        (a, b), (c, d) = matrix
-        return ((d, -b), (-c, a))
-    if n == 3:
-        m = matrix
-        cof = [
-            [
-                m[(i + 1) % 3][(j + 1) % 3] * m[(i + 2) % 3][(j + 2) % 3]
-                - m[(i + 1) % 3][(j + 2) % 3] * m[(i + 2) % 3][(j + 1) % 3]
-                for i in range(3)
-            ]
-            for j in range(3)
-        ]
-        return tuple(tuple(row) for row in cof)
-    raise DimensionError("adjugates supported up to 3x3")
 
 
 def _lower_chain(pts: Iterable[Point]) -> list[Point]:
@@ -262,7 +246,7 @@ def convex_hull_2d(config: PointConfig) -> Polytope:
     if len(pts) == 1:
         return Polytope(2, 0, (pts[0],))
     ring = _hull_ring(pts)
-    if len(ring) == 2 or all(cross(ring[0], ring[1], q) == 0 for q in ring[2:]):
+    if len(ring) == 2:  # a collinear set's ring is its two endpoints
         return Polytope(2, 1, (pts[0], pts[-1]))
     return Polytope(2, 2, tuple(ring))
 

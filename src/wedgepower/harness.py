@@ -162,6 +162,8 @@ def verify_polygon(config: PointConfig, tables: Optional[_Tables] = None) -> The
     Conforming behaviour is: convex everywhere for ordinary configurations,
     and non-convex exactly at sizes 2 and N-2 for configurations equivalent
     to an exceptional triangle.  Every size is read from one depth-N table.
+    A set that is not lattice-convex lies outside the theorem and raises
+    ValueError naming the hull points it misses.
     """
     if config.dim != 2:
         raise DimensionError("verify_polygon expects a planar configuration")
@@ -171,6 +173,9 @@ def verify_polygon(config: PointConfig, tables: Optional[_Tables] = None) -> The
     for p in range(n + 1):
         report = table.check_convex(p)
         per_size.append((p, report.convex, report.missing.points))
+    if n and not per_size[1][1]:  # the size-1 layer is the configuration itself
+        missing = ", ".join(map(str, per_size[1][2]))
+        raise ValueError(f"the configuration is not lattice-convex: its hull also holds {missing}")
     k = exception_index(config)
     failures = {p for p, convex, _ in per_size if not convex}
     expected = {2, n - 2} if k is not None else set()

@@ -8,9 +8,10 @@ top down keeps each point to a single use, and the whole update is one
 shifted OR on a big integer, so the inner loop is bit-parallel.  A naive
 oracle that walks all C(N, p) subsets backs it up at small sizes.
 
-numpy is imported only by the methods that extract whole layers in bulk
-(``coords``, ``points_at``, ``digest``): the planar checks read a few points
-at a time through ``points_of`` and never pay for its import.
+numpy is imported only by ``coords`` and ``digest``, which only the 3D
+witness calls: every other reader of points, ``points_at`` and wedge powers
+included, goes through the pure-Python ``points_of`` and never pays for its
+import.
 """
 
 import hashlib
@@ -179,7 +180,7 @@ class SubsetSumTable:
         return out
 
     def points_at(self, size: int) -> list[Point]:
-        return list(map(tuple, self.coords(size).tolist()))
+        return self.points_of(self.layer(size))
 
     def digest(self, size: int, coords: Optional["np.ndarray"] = None) -> str:
         """Stable fingerprint of one layer, for regression comparisons.

@@ -92,6 +92,17 @@ class TestVerificationCommands:
         assert payload["verdict"] == "conforms"
         assert payload["exception_k"] == 1
 
+    def test_verify_polygon_refuses_a_non_lattice_convex_input(self, capsys, tmp_path):
+        # outside the theorem's hypothesis, so an input error rather than a counterexample
+        hexagon = tmp_path / "hexagon.json"
+        hexagon.write_text('{"dim": 2, "points": [[0, 0], [2, 0], [3, 1], [1, 3], [-1, 1], [1, 1]]}')
+        code, out, err = run(capsys, "verify-polygon", "--input", hexagon)
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: the configuration is not lattice-convex: "
+            "its hull also holds (0, 1), (0, 2), (1, 0), (1, 2), (2, 1), (2, 2)\n"
+        )
+
     def test_verify_grid(self, capsys):
         code, out, _ = run(capsys, "verify-grid", "--grid", "1x1")
         assert code == 0
@@ -208,6 +219,22 @@ class TestRenderCommand:
         _, out, _ = run(capsys, "render", "--input", e1_file)
         assert "<polygon" not in out
         assert out.count("<circle") == 4
+
+    def test_collinear_hull_is_a_frozen_polyline(self, capsys, tmp_path):
+        diagonal = tmp_path / "diagonal.json"
+        diagonal.write_text('{"dim": 2, "points": [[0, 0], [1, 1], [2, 2]]}')
+        code, out, _ = run(capsys, "render", "--input", diagonal, "--hull")
+        assert code == 0
+        assert out == (
+            '<?xml version="1.0" encoding="UTF-8"?>\n'
+            '<svg xmlns="http://www.w3.org/2000/svg" width="140" height="140" viewBox="0 0 140 140">\n'
+            '<rect width="140" height="140" fill="white"/>\n'
+            '<polyline points="30,110 110,30" fill="none" stroke="black" stroke-width="2"/>\n'
+            '<circle cx="30" cy="110" r="5" fill="black"/>\n'
+            '<circle cx="70" cy="70" r="5" fill="black"/>\n'
+            '<circle cx="110" cy="30" r="5" fill="black"/>\n'
+            "</svg>\n"
+        )
 
     def test_singleton(self, capsys, tmp_path):
         one = tmp_path / "one.json"
@@ -332,6 +359,7 @@ runs = [
     ["cornercut", "-d", "2", "-B", "3"],
     ["equivalent", "--input", e1, "--input", e1],
     ["render", "--input", e1, "--hull"],
+    ["wedge", "--input", e1, "-p", "2"],
 ]
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [main(argv) for argv in runs]
@@ -340,9 +368,9 @@ print(json.dumps({"codes": codes, "numpy_loaded": "numpy" in sys.modules}))
 
 
 def test_planar_commands_never_load_numpy(tmp_path):
-    # only the 3D witness, the wedge command and layer digests need numpy
+    # only the 3D witness needs numpy, for its layer's coordinates and digests
     result = _run_python(["-c", PLANAR_RUNS, str(tmp_path)])
     assert result.returncode == 0, result.stderr
     outcome = json.loads(result.stdout)
-    assert outcome["codes"] == [0, 0, 2, 0, 0, 0, 0]
+    assert outcome["codes"] == [0, 0, 2, 0, 0, 0, 0, 0]
     assert not outcome["numpy_loaded"]

@@ -38,6 +38,18 @@ def grid_config(n):
     return PointConfig.of([(x, y) for x in range(n) for y in range(n)])
 
 
+@st.composite
+def unimodular_maps(draw):
+    """Identity after random row steps: add a multiple of another row, or negate a row."""
+    n = draw(st.integers(1, 3))
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    steps = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(-3, 3))
+    for i, j, k in draw(st.lists(steps, max_size=8)):
+        rows[i] = [-a for a in rows[i]] if i == j else [a + k * b for a, b in zip(rows[i], rows[j])]
+    shift = draw(st.tuples(*[st.integers(-9, 9)] * n))
+    return AffineUnimodularMap(tuple(map(tuple, rows)), shift)
+
+
 class TestConvexHull:
     def test_triangle_with_interior_point(self):
         hull = convex_hull_2d(PointConfig.of(FIRST_EXCEPTION))
@@ -92,6 +104,11 @@ class TestLatticePoints:
         hull = convex_hull_2d(PointConfig.of([(0, 0), (1, 0), (0, 1)]))
         assert len(lattice_points_of_polytope(hull)) == 3
 
+    def test_one_dimensional_segment_and_point(self):
+        segment = Polytope(1, 1, ((4,), (-1,)))
+        assert lattice_points_of_polytope(segment).points == tuple((x,) for x in range(-1, 5))
+        assert lattice_points_of_polytope(Polytope(1, 0, ((7,),))) == PointConfig.of([(7,)])
+
     def test_dim3_rejected(self):
         poly = Polytope(3, 3, ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)))
         with pytest.raises(DimensionError):
@@ -143,6 +160,10 @@ class TestVertexSet:
     def test_grid_corners(self):
         assert set(vertex_set(grid_config(3))) == {(0, 0), (0, 2), (2, 0), (2, 2)}
 
+    def test_one_dimensional_endpoints(self):
+        assert vertex_set(PointConfig.of([(3,), (-2,), (0,), (1,)])).points == ((-2,), (3,))
+        assert vertex_set(PointConfig.of([(5,)])).points == ((5,),)
+
     def test_collinear_endpoints(self):
         assert set(vertex_set(PointConfig.of([(0, 0), (1, 0), (2, 0)]))) == {(0, 0), (2, 0)}
 
@@ -192,6 +213,12 @@ class TestApplyMap:
             m = oracles.random_unimodular(rng)
             both = m.compose(m.inverse())
             assert both == AffineUnimodularMap.identity(2)
+
+    @given(unimodular_maps(), st.data())
+    def test_inverse_undoes_the_map_in_every_dimension(self, f, data):
+        point = data.draw(st.tuples(*[st.integers(-20, 20)] * f.dim))
+        assert f.inverse().apply(f.apply(point)) == point
+        assert f.compose(f.inverse()) == AffineUnimodularMap.identity(f.dim)
 
 
 class TestEquivalence:

@@ -18,6 +18,7 @@ from wedgepower import (
     vertex_set,
     wedge_power,
 )
+from wedgepower.harness import GridSummary, Violation
 
 import oracles
 
@@ -160,8 +161,32 @@ class TestVerifyPolygon:
         assert payload["exception_k"] == 1
         assert payload["per_p"][2] == {"p": 2, "convex": False, "missing": [[0, 0]]}
 
+    def test_non_lattice_convex_input_is_refused(self):
+        # the theorem is about lattice-convex sets; this hexagon misses six hull points
+        hexagon = PointConfig.of([(0, 0), (2, 0), (3, 1), (1, 3), (-1, 1), (1, 1)])
+        with pytest.raises(ValueError, match=r"not lattice-convex.*\(0, 1\), \(0, 2\), \(1, 0\)"):
+            verify_polygon(hexagon)
+
 
 class TestVerifyGrid:
+    def test_summary_json_lists_violations_with_and_without_size(self):
+        square = PointConfig.of([(0, 0), (1, 0), (0, 1), (1, 1)])
+        summary = GridSummary(
+            GridSpec(1, 1),
+            10,
+            [Violation("wedge-convexity", square), Violation("not-p-good", FIVE_ON_AXES, 2)],
+            {2: 3, 1: 4},
+        )
+        assert summary.to_json() == {
+            "grid": [1, 1],
+            "configs": 10,
+            "violations": [
+                {"kind": "wedge-convexity", "points": [[0, 0], [0, 1], [1, 0], [1, 1]]},
+                {"kind": "not-p-good", "points": [[0, 0], [0, 1], [1, 0], [2, 0], [3, 0]], "p": 2},
+            ],
+            "exceptions_seen": [{"k": 1, "count": 4}, {"k": 2, "count": 3}],
+        }
+
     def test_two_by_two_cells(self):
         summary = verify_grid(GridSpec(1, 1))
         assert summary.config_count == 10
