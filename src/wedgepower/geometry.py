@@ -431,11 +431,13 @@ def exception_index(config: PointConfig) -> Optional[int]:
 
     Only one k can possibly match a given configuration (the triangle with
     index k has exactly k+3 points), so comparing two normal forms decides.
+    Each of these triangles has three strict hull corners, a count lattice
+    maps keep, so any other set is turned down before its normal form.
     """
     if config.dim != 2:
         raise DimensionError("exception detection is for planar configurations")
     k = len(config) - 3
-    if k < 1:
+    if k < 1 or len(_hull_ring(config.points)) != 3:
         return None
     return k if normal_form(config) == _exceptional_normal_form(k) else None
 

@@ -16,7 +16,7 @@ from operator import and_
 from typing import Optional
 
 from .geometry import BudgetError, DimensionError, Point, PointConfig, exception_index, normal_form, vertex_set
-from .wedge import SubsetSumTable, hull_fill
+from .wedge import SubsetSumTable, _reflect, hull_fill
 
 GRID_CELL_BUDGET = 25
 
@@ -106,8 +106,13 @@ def is_p_good(config: PointConfig, subset_size: int, tables: Optional[_Tables] =
     if not 1 <= subset_size <= len(config) - 1:
         raise ValueError("subset size must be between 1 and N-1")
     base, deletions = tables or _tables(config, subset_size, subset_size)
-    common = reduce(and_, (table.layer(subset_size) for table in deletions))
+    common = _common_layer(deletions, subset_size)
     return min(base.points_of(common)) if common else None
+
+
+def _common_layer(deletions: list[SubsetSumTable], size: int) -> int:
+    """The sums of ``size`` points that every deletion table reaches, as a bitset."""
+    return reduce(and_, (table.layer(size) for table in deletions))
 
 
 def union_decomposition_holds(config: PointConfig, subset_size: int, tables: Optional[_Tables] = None) -> bool:
@@ -121,9 +126,14 @@ def union_decomposition_holds(config: PointConfig, subset_size: int, tables: Opt
     if config.dim != 2:
         raise DimensionError("union decomposition is checked for planar configurations")
     base, deletions = tables or _tables(config, subset_size, min(subset_size, len(config) - 1))
-    whole, covered = base.hull_fill(subset_size), 0
+    return _fill_is_covered(base.hull_fill(subset_size), deletions, subset_size)
+
+
+def _fill_is_covered(whole: int, deletions: list[SubsetSumTable], size: int) -> bool:
+    """Is the hull fill ``whole`` inside the union of the deletion tables' fills at ``size``?"""
+    covered = 0
     for table in deletions:
-        covered |= table.hull_fill(subset_size)
+        covered |= table.hull_fill(size)
         if not whole & ~covered:
             return True
     return False
@@ -156,23 +166,33 @@ class TheoremReport:
         }
 
 
-def verify_polygon(config: PointConfig, tables: Optional[_Tables] = None) -> TheoremReport:
+def verify_polygon(config: PointConfig) -> TheoremReport:
     """Check lattice-convexity of every wedge power of one configuration.
 
     Conforming behaviour is: convex everywhere for ordinary configurations,
     and non-convex exactly at sizes 2 and N-2 for configurations equivalent
-    to an exceptional triangle.  Every size is read from one depth-N table.
+    to an exceptional triangle.  Sizes 0..N//2 are read from one table of
+    depth N//2; size N-p is size p reflected through the total of the
+    configuration, as leaving p points out reflects every sum of the other
+    N-p (``tests/oracles.py`` keeps the full-depth reading as a reference).
     A set that is not lattice-convex lies outside the theorem and raises
     ValueError naming the hull points it misses.
     """
     if config.dim != 2:
         raise DimensionError("verify_polygon expects a planar configuration")
+    return _theorem_report(config, SubsetSumTable(config.points, len(config) // 2, dim=2))[0]
+
+
+def _theorem_report(config: PointConfig, base: SubsetSumTable) -> tuple[TheoremReport, list[int]]:
+    """verify_polygon's report from a table of depth N//2, and the hull fill of each size it read."""
     n = len(config)
-    table = tables[0] if tables else SubsetSumTable(config.points, n, dim=2)
-    per_size = []
-    for p in range(n + 1):
-        report = table.check_convex(p)
-        per_size.append((p, report.convex, report.missing.points))
+    fills = [base.hull_fill(p) for p in range(base.depth + 1)]
+    reports = [base._convexity(p, fill) for p, fill in enumerate(fills)]
+    per_size = [(p, report.convex, report.missing.points) for p, report in enumerate(reports)]
+    total = config.total()
+    for p in range(len(reports), n + 1):
+        report = reports[n - p]
+        per_size.append((p, report.convex, _reflect(report.missing, total).points))
     if n and not per_size[1][1]:  # the size-1 layer is the configuration itself
         missing = ", ".join(map(str, per_size[1][2]))
         raise ValueError(f"the configuration is not lattice-convex: its hull also holds {missing}")
@@ -180,7 +200,7 @@ def verify_polygon(config: PointConfig, tables: Optional[_Tables] = None) -> The
     failures = {p for p, convex, _ in per_size if not convex}
     expected = {2, n - 2} if k is not None else set()
     verdict = "conforms" if failures == expected else "violates"
-    return TheoremReport(config, n, k, tuple(per_size), verdict)
+    return TheoremReport(config, n, k, tuple(per_size), verdict), fills
 
 
 @dataclass(frozen=True)
@@ -217,15 +237,15 @@ class GridSummary:
 def _examine_config(config: PointConfig) -> tuple[Optional[int], list[tuple[str, Optional[int]]]]:
     problems: list[tuple[str, Optional[int]]] = []
     n = len(config)
-    tables = _tables(config, n, n // 2)
-    report = verify_polygon(config, tables)
+    base, deletions = _tables(config, n // 2, n // 2)
+    report, fills = _theorem_report(config, base)
     if report.verdict != "conforms":
         problems.append(("wedge-convexity", None))
     for p in range(1, n // 2 + 1):
-        good = is_p_good(config, p, tables) is not None
+        good = bool(_common_layer(deletions, p))
         if n >= 5 and not good:
             problems.append(("not-p-good", p))
-        if n >= 4 and good and not union_decomposition_holds(config, p, tables):
+        if n >= 4 and good and not _fill_is_covered(fills[p], deletions, p):
             problems.append(("union-decomposition", p))
     return report.exception_k, problems
 

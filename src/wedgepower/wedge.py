@@ -129,8 +129,12 @@ class SubsetSumTable:
 
     def check_convex(self, size: int) -> "ConvexityReport":
         """Lattice-convexity of one layer of a table of dimension 1 or 2."""
+        return self._convexity(size, self.hull_fill(size))
+
+    def _convexity(self, size: int, fill: int) -> "ConvexityReport":
+        """check_convex given the layer's hull fill, for callers that use the fill again."""
         layer = self.layer(size)
-        missing = self.hull_fill(size) & ~layer
+        missing = fill & ~layer
         points = PointConfig.of(self.points_of(missing) if missing else (), dim=self.dim)
         return ConvexityReport(not missing, points, layer.bit_count())
 
@@ -316,8 +320,9 @@ def reflect_complement(base: PointConfig, subset_size: int) -> PointConfig:
     Choosing which points to leave out instead of which to keep reflects
     every sum through the total of the whole configuration.
     """
-    pivot = base.total()
-    wedge = wedge_power(base, subset_size)
-    return PointConfig.of(
-        (tuple(t - c for t, c in zip(pivot, p)) for p in wedge), dim=base.dim
-    )
+    return _reflect(wedge_power(base, subset_size), base.total())
+
+
+def _reflect(config: PointConfig, pivot: Point) -> PointConfig:
+    """The point reflection p -> pivot - p of a configuration, sorted again."""
+    return PointConfig.of((tuple(t - c for t, c in zip(pivot, p)) for p in config), dim=config.dim)

@@ -21,6 +21,12 @@ cut row by row along its edges, is the reference for the two-envelope
 over all 2^cells masks (``enumerate_by_masks``), for the row-interval one.
 The numpy unpacking that ``SubsetSumTable.points_of`` once ran
 (``points_of``) is the reference for its plain-Python byte walk.
+The full-depth ``verify_polygon`` and ``_examine_config``, which read every
+size 0..N from a depth-N table and ran each check on its own hull fill,
+are kept (``full_depth_verify_polygon``, ``full_depth_examine_config``) as
+the reference for the half-depth reading that reflects sizes above N//2,
+and the plain normal-form comparison (``exception_index_by_normal_form``)
+for ``exception_index``'s corner-count shortcut.
 """
 
 import hashlib
@@ -41,7 +47,10 @@ from wedgepower import (
     vertex_set,
     wedge_power,
 )
-from wedgepower.geometry import _xgcd
+from wedgepower import harness
+from wedgepower.geometry import _exceptional_normal_form, _xgcd, normal_form
+from wedgepower.harness import TheoremReport, _tables
+from wedgepower.wedge import SubsetSumTable as BitsetTable
 from wedgepower.wedge import hull_fill
 
 
@@ -418,6 +427,59 @@ def exception_index(config):
     if equivalence_by_search(config, exceptional_triangle(k)) is not None:
         return k
     return None
+
+
+def exception_index_by_normal_form(config):
+    """The k-th exceptional triangle's index if their normal forms are equal, for every k+3 points."""
+    if config.dim != 2:
+        raise DimensionError("exception detection is for planar configurations")
+    k = len(config) - 3
+    if k < 1:
+        return None
+    return k if normal_form(config) == _exceptional_normal_form(k) else None
+
+
+def full_depth_verify_polygon(config, tables=None):
+    """Check lattice-convexity of every wedge power of one configuration.
+
+    Conforming behaviour is: convex everywhere for ordinary configurations,
+    and non-convex exactly at sizes 2 and N-2 for configurations equivalent
+    to an exceptional triangle.  Every size is read from one depth-N table.
+    A set that is not lattice-convex lies outside the theorem and raises
+    ValueError naming the hull points it misses.
+    """
+    if config.dim != 2:
+        raise DimensionError("verify_polygon expects a planar configuration")
+    n = len(config)
+    table = tables[0] if tables else BitsetTable(config.points, n, dim=2)
+    per_size = []
+    for p in range(n + 1):
+        report = table.check_convex(p)
+        per_size.append((p, report.convex, report.missing.points))
+    if n and not per_size[1][1]:  # the size-1 layer is the configuration itself
+        missing = ", ".join(map(str, per_size[1][2]))
+        raise ValueError(f"the configuration is not lattice-convex: its hull also holds {missing}")
+    k = exception_index_by_normal_form(config)
+    failures = {p for p, convex, _ in per_size if not convex}
+    expected = {2, n - 2} if k is not None else set()
+    verdict = "conforms" if failures == expected else "violates"
+    return TheoremReport(config, n, k, tuple(per_size), verdict)
+
+
+def full_depth_examine_config(config):
+    problems = []
+    n = len(config)
+    tables = _tables(config, n, n // 2)
+    report = full_depth_verify_polygon(config, tables)
+    if report.verdict != "conforms":
+        problems.append(("wedge-convexity", None))
+    for p in range(1, n // 2 + 1):
+        good = harness.is_p_good(config, p, tables) is not None
+        if n >= 5 and not good:
+            problems.append(("not-p-good", p))
+        if n >= 4 and good and not harness.union_decomposition_holds(config, p, tables):
+            problems.append(("union-decomposition", p))
+    return report.exception_k, problems
 
 
 class SubsetSumTable:

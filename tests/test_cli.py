@@ -2,16 +2,20 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import wedgepower
 import wedgepower.wedge as wedge_module
-from wedgepower import exceptional_triangle, truncated_quadrant
+from wedgepower import BudgetError, SubsetSumTable, exceptional_triangle, truncated_quadrant
 from wedgepower.cli import main
 from wedgepower.jsonio import parse_point_config
 
+import oracles
+
+DATA = Path(__file__).parent / "data"
 FIRST_EXCEPTION_JSON = '{"dim": 2, "points": [[0, 1], [1, 0], [-1, -1], [0, 0]]}'
 
 
@@ -102,6 +106,42 @@ class TestVerificationCommands:
             "error: the configuration is not lattice-convex: "
             "its hull also holds (0, 1), (0, 2), (1, 0), (1, 2), (2, 1), (2, 2)\n"
         )
+
+    @pytest.mark.parametrize("name", ["exceptional-triangle-3", "truncated-quadrant-8"])
+    def test_verify_polygon_prints_the_pinned_bytes(self, capsys, name):
+        # the expected files were written by the full-depth reading, so they
+        # pin the reflected missing lists of the sizes above N//2 too
+        code, out, _ = run(capsys, "verify-polygon", "--input", DATA / f"{name}.json")
+        assert code == 0
+        assert out == (DATA / f"verify-polygon-{name}.json").read_text()
+
+    def test_verify_polygon_over_the_table_budget_is_refused_before_allocating(self, capsys, tmp_path):
+        # depth 1 over a primitive segment: 2 x (3e9 + 1) cells in 2 layers, above 2^33 bits
+        far = tmp_path / "far.json"
+        far.write_text('{"dim": 2, "points": [[0, 0], [1, 3000000000]]}')
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "verify-polygon", "--input", far)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (1, "")
+        assert "table budget" in err
+        assert peak < 1 << 20
+
+    def test_verify_polygon_budget_applies_at_half_depth(self, capsys, monkeypatch):
+        quadrant = truncated_quadrant(8)  # 45 points: a depth-22 table, where a depth-45 one was read
+        half = SubsetSumTable(quadrant.points, 22)
+        monkeypatch.setattr(wedge_module, "TABLE_BIT_BUDGET", half.total_cells * 23)
+        with pytest.raises(BudgetError, match="table budget"):
+            oracles.full_depth_verify_polygon(quadrant)
+        code, out, _ = run(capsys, "verify-polygon", "--input", DATA / "truncated-quadrant-8.json")
+        assert code == 0
+        assert out == (DATA / "verify-polygon-truncated-quadrant-8.json").read_text()
+        monkeypatch.setattr(wedge_module, "TABLE_BIT_BUDGET", half.total_cells * 23 - 1)
+        code, out, err = run(capsys, "verify-polygon", "--input", DATA / "truncated-quadrant-8.json")
+        assert (code, out) == (1, "")
+        assert "table budget" in err
 
     def test_verify_grid(self, capsys):
         code, out, _ = run(capsys, "verify-grid", "--grid", "1x1")

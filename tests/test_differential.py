@@ -17,6 +17,11 @@ bit, and a table's ``check_convex`` the tuple-path report.  The
 row-interval grid enumerator must list what the mask loop over all 2^cells
 masks lists, and on grids past that loop's reach it must hold the hull
 lattice points of random grid points.
+The grid examination reads a table of depth N//2 and reflects the sizes
+above it; its reports and problem lists must equal those of the full-depth
+reading, on every grid orbit up to 3x3 and on random lattice-convex sets,
+and ``exception_index``'s corner count must turn away only sets that the
+normal-form comparison turns away too.
 """
 
 import itertools
@@ -40,13 +45,14 @@ from wedgepower import (
     exceptional_triangle,
     is_p_good,
     normal_form,
+    reflect_complement,
     truncated_quadrant,
     union_decomposition_holds,
     verify_grid,
     verify_polygon,
     wedge_power,
 )
-from wedgepower import harness
+from wedgepower import geometry, harness
 from wedgepower.wedge import hull_fill
 
 import oracles
@@ -477,3 +483,78 @@ def test_orbit_members_inherit_a_representative_problem(monkeypatch):
     ]
     assert summary.config_count == 420
     assert summary.exceptions_seen == {1: 8, 2: 4}
+
+
+# --- the half-depth reading against the full-depth one ------------------------
+
+
+@pytest.fixture(scope="module")
+def orbit_representatives():
+    """The first member of every normal-form orbit of the 2x2, 3x2 and 3x3 grids."""
+    members = {}
+    for grid in GRIDS + (GridSpec(3, 3),):
+        for config in enumerate_lattice_convex(grid):
+            members.setdefault(normal_form(config), config)
+    return list(members.values())
+
+
+def _assert_half_depth_matches(config):
+    # every per-size verdict and missing list, exception_k and the verdict
+    assert verify_polygon(config) == oracles.full_depth_verify_polygon(config), config
+    assert harness._examine_config(config) == oracles.full_depth_examine_config(config), config
+    # the reflection behind the sizes above N//2, on whole layers: their
+    # missing lists hold at most one point each, so re-sorting shows only here
+    n = len(config)
+    for p in range(n // 2 + 1):
+        assert reflect_complement(config, p) == wedge_power(config, n - p), (config, p)
+
+
+def test_half_depth_examination_matches_full_depth_on_every_orbit(orbit_representatives):
+    assert len(orbit_representatives) == 152
+    assert {len(c) % 2 for c in orbit_representatives} == {0, 1}
+    for config in orbit_representatives:
+        _assert_half_depth_matches(config)
+
+
+@st.composite
+def lattice_convex_sets(draw):
+    """The lattice points of the hull of random points, or an exceptional triangle, moved by a lattice map."""
+    if draw(st.booleans()):
+        config = exceptional_triangle(draw(st.integers(1, 6)))
+    else:
+        corners = draw(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=1, max_size=6))
+        config = PointConfig.of(oracles.hull_lattice_points(set(corners)))
+    return apply_map(draw(unimodular_maps), config)
+
+
+@given(lattice_convex_sets())
+@example(exceptional_triangle(1))  # N = 4, the wedge at the middle size misses a point
+@example(exceptional_triangle(2))  # N = 5, the miss at size 3 is the reflected one
+@example(PointConfig.of([(0, 0)]))
+@example(truncated_quadrant(3))
+def test_half_depth_examination_matches_full_depth(config):
+    _assert_half_depth_matches(config)
+
+
+def test_exception_index_agrees_with_the_normal_form_comparison():
+    for config in enumerate_lattice_convex(GridSpec(3, 3)):
+        assert exception_index(config) == oracles.exception_index_by_normal_form(config), config
+    rng = random.Random(11)
+    for k in range(1, 7):
+        for _ in range(4):
+            assert exception_index(apply_map(oracles.random_unimodular(rng), exceptional_triangle(k))) == k
+
+
+def test_exception_index_turns_down_other_corner_counts_before_a_normal_form(monkeypatch):
+    def refuse(config):
+        raise AssertionError(f"normal form computed for {config}")
+
+    monkeypatch.setattr(geometry, "normal_form", refuse)
+    square = PointConfig.of([(0, 0), (1, 0), (0, 1), (1, 1)])  # k = 1
+    pentagon = PointConfig.of([(0, 0), (1, 0), (2, 1), (1, 2), (0, 1), (1, 1)])  # k = 3
+    line = PointConfig.of([(x, 2 * x + 1) for x in range(5)])  # k = 2
+    for config in (square, pentagon, line):
+        assert exception_index(config) is None
+    # a triangle of k + 3 points still reaches the comparison
+    with pytest.raises(AssertionError, match="normal form computed"):
+        exception_index(truncated_quadrant(2))
