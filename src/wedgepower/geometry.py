@@ -341,8 +341,11 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def _frames(config: PointConfig) -> list[tuple[list[Point], tuple[Point, Point], Point]]:
+def _frames(config: PointConfig, ring_only: bool = False) -> list[tuple[list[Point], tuple[Point, Point], Point]]:
     """The canonical lattice maps of a planar set, each as (sorted image, matrix, translation).
+
+    The image is of the whole set, or with ``ring_only`` of its strict hull
+    corners alone (of a collinear set, its two ends).
 
     Each strict hull corner, walked either way round, fixes one lattice map:
     the corner goes to the origin, its outgoing edge along the positive
@@ -373,7 +376,7 @@ def _frames(config: PointConfig) -> list[tuple[list[Point], tuple[Point, Point],
             k = -((s * (bx - vx) + t * (by - vy)) // height)
             s, t = s + k * ux, t + k * uy
         cx, cy = -s * vx - t * vy, -ux * vx - uy * vy
-        image = sorted((s * x + t * y + cx, ux * x + uy * y + cy) for x, y in pts)
+        image = sorted((s * x + t * y + cx, ux * x + uy * y + cy) for x, y in (ring if ring_only else pts))
         frames.append((image, ((s, t), (ux, uy)), (cx, cy)))
     return frames
 
@@ -390,14 +393,21 @@ def are_equivalent(source: PointConfig, target: PointConfig) -> Optional[AffineU
         raise DimensionError("equivalence is decided for planar configurations")
     if len(source) != len(target) or len(source) == 0:
         return None
-    image, matrix, shift = _frames(source)[0]
-    forward = AffineUnimodularMap(matrix, shift)
-    maps = [
-        AffineUnimodularMap(other_matrix, other_shift).inverse().compose(forward)
-        for other, other_matrix, other_shift in _frames(target)
-        if other == image
-    ]
-    return min(maps, key=lambda m: list(map(m.apply, source.points)), default=None)
+    image, ((a, b), (c, d)), (e, f) = _frames(source)[0]
+    candidates = []  # (matrix, translation) of each equivalence, as plain tuples
+    for other, ((p, q), (r, s)), (g, h) in _frames(target):
+        if other == image:
+            det = p * s - q * r  # +-1, so dividing by it is multiplying by it
+            inverse = ((det * s, -det * q), (-det * r, det * p))
+            matrix = tuple((i * a + j * c, i * b + j * d) for i, j in inverse)
+            candidates.append((matrix, tuple(i * (e - g) + j * (f - h) for i, j in inverse)))
+
+    def images(candidate):
+        ((m, n), (u, v)), (tx, ty) = candidate
+        return [(m * x + n * y + tx, u * x + v * y + ty) for x, y in source.points]
+
+    best = min(candidates, key=images, default=None)
+    return None if best is None else AffineUnimodularMap(*best)
 
 
 def normal_form(config: PointConfig) -> tuple[Point, ...]:
@@ -440,6 +450,18 @@ def exception_index(config: PointConfig) -> Optional[int]:
     if k < 1 or len(_hull_ring(config.points)) != 3:
         return None
     return k if normal_form(config) == _exceptional_normal_form(k) else None
+
+
+def _corner_form(config: PointConfig) -> tuple[Point, ...]:
+    """The least sorted image of the strict hull corners over the frames of ``_frames``.
+
+    It is ``normal_form`` of the corners alone, a collinear set's two ends
+    giving ((0, 0), (n - 1, 0)) for n lattice points.  Lattice-convex sets
+    are the lattice points of the hulls of their corners, so on them equal
+    corner forms mean equivalence; on other sets they do not (a square's
+    corners with and without its centre), which is why this stays private.
+    """
+    return tuple(min((image for image, _, _ in _frames(config, ring_only=True)), default=()))
 
 
 @lru_cache(maxsize=64)

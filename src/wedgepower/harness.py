@@ -12,10 +12,10 @@ import multiprocessing
 import os
 from dataclasses import dataclass, field
 from functools import reduce
-from operator import and_
+from operator import and_, or_
 from typing import Optional
 
-from .geometry import BudgetError, DimensionError, Point, PointConfig, exception_index, normal_form, vertex_set
+from .geometry import BudgetError, DimensionError, Point, PointConfig, _corner_form, exception_index, vertex_set
 from .wedge import SubsetSumTable, _reflect, hull_fill
 
 GRID_CELL_BUDGET = 25
@@ -90,9 +90,18 @@ _Tables = tuple[SubsetSumTable, list[SubsetSumTable]]
 
 
 def _tables(config: PointConfig, depth: int, deletion_depth: int) -> _Tables:
+    """The base table at ``depth`` and each vertex deletion's at ``deletion_depth`` <= ``depth``.
+
+    Every deletion keeps the points that are not vertices, so they are fed
+    once, into a stem in the base table's box; each deletion table is the
+    stem with the other vertices fed in.  Layers are sets of sums, which
+    do not depend on the order points are fed in.
+    """
     base = SubsetSumTable(config.points, depth, dim=config.dim)
-    rests = ([q for q in config.points if q != v] for v in vertex_set(config))
-    return base, [SubsetSumTable(r, deletion_depth, dim=config.dim, box=base) for r in rests]
+    vertices = vertex_set(config)
+    inner = [q for q in config.points if q not in vertices]
+    stem = base._derived(inner, [base.layer(0)] + [0] * deletion_depth)
+    return base, [stem._derived([w for w in vertices if w != v]) for v in vertices]
 
 
 def is_p_good(config: PointConfig, subset_size: int, tables: Optional[_Tables] = None) -> Optional[Point]:
@@ -130,8 +139,14 @@ def union_decomposition_holds(config: PointConfig, subset_size: int, tables: Opt
 
 
 def _fill_is_covered(whole: int, deletions: list[SubsetSumTable], size: int) -> bool:
-    """Is the hull fill ``whole`` inside the union of the deletion tables' fills at ``size``?"""
-    covered = 0
+    """Is the hull fill ``whole`` inside the union of the deletion tables' fills at ``size``?
+
+    Each layer lies inside its own fill, so the union of the layers is
+    tried first, and the fills are computed only when it leaves a point out.
+    """
+    covered = reduce(or_, (table.layer(size) for table in deletions))
+    if not whole & ~covered:
+        return True
     for table in deletions:
         covered |= table.hull_fill(size)
         if not whole & ~covered:
@@ -254,8 +269,12 @@ def verify_grid(grid: GridSpec, jobs: int = 1) -> GridSummary:
     """Run verify_polygon plus the goodness and decomposition checks over a grid.
 
     Every check is invariant under affine unimodular maps, so one
-    representative per orbit (the first configuration with its normal form)
-    is examined and its outcome counted for every member.  That work can be
+    representative per orbit is examined and its outcome counted for every
+    member.  Orbits are grouped by corner form, the least image of the hull
+    corners under the frames normal forms use: every enumerated set is the
+    lattice points of the hull of its corners, so equal corner forms make
+    the same orbits as equal normal forms, and the representative is the
+    orbit's first configuration either way.  That work can be
     spread over 1 to os.cpu_count() worker processes; the summary does not
     depend on their count.
     """
@@ -263,7 +282,7 @@ def verify_grid(grid: GridSpec, jobs: int = 1) -> GridSummary:
     if not 1 <= jobs <= cpus:
         raise ValueError(f"jobs must be between 1 and the CPU count ({cpus}), got {jobs}")
     configs = enumerate_lattice_convex(grid)
-    forms = [normal_form(c) for c in configs]
+    forms = [_corner_form(c) for c in configs]
     representatives: dict[tuple[Point, ...], PointConfig] = {}
     for form, config in zip(forms, configs):
         representatives.setdefault(form, config)

@@ -19,7 +19,7 @@ import itertools
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from math import comb, prod
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from .geometry import BudgetError, DimensionError, Point, PointConfig, _ceil_envelope
 
@@ -89,15 +89,40 @@ class SubsetSumTable:
                 f"above the table budget of {TABLE_BIT_BUDGET} bits"
             )
 
-        layers = [0] * (depth + 1)
-        layers[0] = 1 << self._flatten((0,) * self.dim)
-        for seen, point in enumerate(points, start=1):
+        self._layers = [1 << self._flatten((0,) * self.dim)] + [0] * depth
+        self._feed(points)
+
+    def _feed(self, points: Iterable[Point]) -> None:
+        """Add each point to every sum of the layers: one shifted OR per layer and point.
+
+        Layers are updated from the top down, so a sum uses each point at
+        most once.  After k points, layers 0..min(k, depth) and no others
+        are nonempty, so the count of nonempty layers says where to start.
+        """
+        layers, depth = self._layers, self.depth
+        top = sum(map(bool, layers)) - 1
+        for point in points:
             offset = sum(c * s for c, s in zip(point, self._strides))
-            for c in range(min(seen, depth), 0, -1):
+            top = min(top + 1, depth)
+            for c in range(top, 0, -1):
                 below = layers[c - 1]
                 if below:
                     layers[c] |= (below << offset) if offset >= 0 else (below >> -offset)
-        self._layers = layers
+
+    def _derived(self, points: Iterable[Point], layers: Optional[list[int]] = None) -> "SubsetSumTable":
+        """A table in this box that starts from ``layers`` (this table's own by default) and is fed ``points``.
+
+        Its depth is len(layers) - 1.  It skips the constructor and checks
+        nothing, so it may hold fewer points than its depth.  The caller
+        vouches for what the constructor would check: that depth is at most
+        this table's, so the budget holds, and this box holds every sum of
+        at most that many of the new table's points.
+        """
+        layers = list(self._layers if layers is None else layers)
+        table = object.__new__(SubsetSumTable)  # the box's attributes are immutable and shared
+        table.__dict__.update(self.__dict__, depth=len(layers) - 1, _layers=layers)
+        table._feed(points)
+        return table
 
     def _flatten(self, point: Point) -> int:
         return sum((c - lo) * s for c, lo, s in zip(point, self.box_lo, self._strides))

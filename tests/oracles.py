@@ -26,7 +26,10 @@ size 0..N from a depth-N table and ran each check on its own hull fill,
 are kept (``full_depth_verify_polygon``, ``full_depth_examine_config``) as
 the reference for the half-depth reading that reflects sizes above N//2,
 and the plain normal-form comparison (``exception_index_by_normal_form``)
-for ``exception_index``'s corner-count shortcut.
+for ``exception_index``'s corner-count shortcut.  They build their tables
+the earlier way too, each deletion table from its own points
+(``per_deletion_tables``), which is the reference for the deletion tables
+that ``harness._tables`` grows from one shared stem.
 """
 
 import hashlib
@@ -49,7 +52,7 @@ from wedgepower import (
 )
 from wedgepower import harness
 from wedgepower.geometry import _exceptional_normal_form, _xgcd, normal_form
-from wedgepower.harness import TheoremReport, _tables
+from wedgepower.harness import TheoremReport
 from wedgepower.wedge import SubsetSumTable as BitsetTable
 from wedgepower.wedge import hull_fill
 
@@ -466,10 +469,17 @@ def full_depth_verify_polygon(config, tables=None):
     return TheoremReport(config, n, k, tuple(per_size), verdict)
 
 
+def per_deletion_tables(config, depth, deletion_depth):
+    """The earlier ``harness._tables``: the base table and every vertex deletion's, each built on its own."""
+    base = BitsetTable(config.points, depth, dim=config.dim)
+    rests = ([q for q in config.points if q != v] for v in vertex_set(config))
+    return base, [BitsetTable(r, deletion_depth, dim=config.dim, box=base) for r in rests]
+
+
 def full_depth_examine_config(config):
     problems = []
     n = len(config)
-    tables = _tables(config, n, n // 2)
+    tables = per_deletion_tables(config, n, n // 2)
     report = full_depth_verify_polygon(config, tables)
     if report.verdict != "conforms":
         problems.append(("wedge-convexity", None))

@@ -22,6 +22,10 @@ above it; its reports and problem lists must equal those of the full-depth
 reading, on every grid orbit up to 3x3 and on random lattice-convex sets,
 and ``exception_index``'s corner count must turn away only sets that the
 normal-form comparison turns away too.
+The deletion tables the examination grows from one stem of the points that
+are not vertices must equal, bit for bit, tables built from each deletion's
+own points; and the grid run's grouping by corner form must make the orbits
+that normal forms make.
 """
 
 import itertools
@@ -558,3 +562,77 @@ def test_exception_index_turns_down_other_corner_counts_before_a_normal_form(mon
     # a triangle of k + 3 points still reaches the comparison
     with pytest.raises(AssertionError, match="normal form computed"):
         exception_index(truncated_quadrant(2))
+
+
+# --- deletion tables grown from one stem against independent builds -----------
+
+
+def _assert_stem_tables_match(config, depth, deletion_depth):
+    base, deletions = harness._tables(config, depth, deletion_depth)
+    reference_base, references = oracles.per_deletion_tables(config, depth, deletion_depth)
+    assert vars(base) == vars(reference_base)
+    assert len(deletions) == len(references)
+    for table, reference in zip(deletions, references):
+        # every attribute: box, depth, digest box and each layer's bits
+        assert vars(table) == vars(reference), (config, depth, deletion_depth)
+
+
+def _assert_stem_tables_match_at_every_use(config):
+    """The depths the examination, is_p_good and union_decomposition_holds build at."""
+    n = len(config)
+    uses = {(n // 2, n // 2), (n, n - 1)} | {(p, p) for p in range(1, n)}
+    for depth, deletion_depth in sorted(uses):
+        _assert_stem_tables_match(config, depth, deletion_depth)
+
+
+def test_stem_tables_match_independent_builds_on_every_orbit(orbit_representatives):
+    for config in orbit_representatives:
+        _assert_stem_tables_match_at_every_use(config)
+
+
+@given(lattice_convex_sets())
+@example(exceptional_triangle(1))  # one stem point, fewer than deletion depths 2 and 3
+@example(PointConfig.of([(0, 0)]))  # no stem point, one empty deletion
+@example(PointConfig.of([(0, 0), (1, 2), (2, 4), (3, 6)]))  # collinear: two vertices
+def test_stem_tables_match_independent_builds(config):
+    _assert_stem_tables_match_at_every_use(config)
+
+
+OTHER_DIMENSIONS = {
+    "line-1d": PointConfig.of([(0,), (1,), (2,), (3,), (4,)]),
+    "point-1d": PointConfig.of([(7,)]),
+    # (1, 1, 1) is the only point that is not a vertex
+    "simplex-3d": PointConfig.of([(0, 0, 0), (3, 0, 0), (0, 3, 0), (0, 0, 3), (1, 1, 1)]),
+    "cube-3d": PointConfig.of(list(itertools.product((0, 1), repeat=3))),
+}
+
+
+@pytest.mark.parametrize("config", OTHER_DIMENSIONS.values(), ids=OTHER_DIMENSIONS.keys())
+def test_stem_tables_match_independent_builds_in_dimensions_1_and_3(config):
+    _assert_stem_tables_match_at_every_use(config)
+    for p in range(1, len(config)):
+        assert is_p_good(config, p) == oracles.is_p_good(config, p), (config, p)
+
+
+# --- grouping by corner form against grouping by normal form --------------------
+
+
+@pytest.mark.parametrize("grid", GRIDS + (GridSpec(3, 3), GridSpec(4, 4)), ids=lambda g: f"{g.width}x{g.height}")
+def test_corner_forms_make_the_normal_form_orbits(grid):
+    configs = enumerate_lattice_convex(grid)
+    by_corners, by_normal_form = {}, {}
+    for config in configs:
+        by_corners.setdefault(geometry._corner_form(config), []).append(config)
+        by_normal_form.setdefault(normal_form(config), []).append(config)
+    # the same orbits, met in the same order, so the same representatives
+    assert list(by_corners.values()) == list(by_normal_form.values())
+
+
+@given(lattice_convex_sets(), lattice_convex_sets(), st.integers(0, 2**32))
+@example(exceptional_triangle(3), truncated_quadrant(2), 0)  # two triangles of six points
+@example(PointConfig.of([(0, 0), (1, 2), (2, 4)]), PointConfig.of([(5, 0), (5, 1), (5, 2)]), 1)
+def test_equal_corner_forms_exactly_when_equivalent(first, second, seed):
+    moved = apply_map(oracles.random_unimodular(random.Random(seed)), first)
+    for other in (moved, second):
+        same = geometry._corner_form(first) == geometry._corner_form(other)
+        assert same == (oracles.equivalence_by_search(first, other) is not None), (first, other)

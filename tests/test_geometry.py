@@ -18,9 +18,10 @@ from wedgepower import (
     normal_form,
     point_in_hull,
     remove_vertex,
+    truncated_quadrant,
     vertex_set,
 )
-from wedgepower.geometry import cross
+from wedgepower.geometry import _corner_form, cross
 
 import oracles
 
@@ -326,6 +327,28 @@ class TestNormalForm:
     def test_other_dimensions_rejected(self, dim):
         with pytest.raises(DimensionError):
             normal_form(PointConfig.of([(0,) * dim, (1,) * dim]))
+
+
+class TestCornerForm:
+    """The private grouping key of grid runs: a normal form of the hull corners alone."""
+
+    def test_singleton_empty_and_collinear(self):
+        assert _corner_form(PointConfig.of([(5, -7)])) == ((0, 0),)
+        assert _corner_form(PointConfig.of([], dim=2)) == ()
+        # four lattice points along (1, 2): the two ends, 3 steps apart
+        assert _corner_form(PointConfig.of([(x, 2 * x) for x in range(4)])) == ((0, 0), (3, 0))
+
+    def test_is_the_normal_form_of_the_corners(self):
+        for config in (PointConfig.of(FIRST_EXCEPTION), grid_config(3), truncated_quadrant(4)):
+            assert _corner_form(config) == normal_form(vertex_set(config))
+
+    def test_needs_lattice_convex_sets(self):
+        # the corners of a 2x2 square, with and without its centre: equal corner
+        # forms, yet inequivalent sets, which is why the form stays private
+        corners = PointConfig.of([(0, 0), (2, 0), (0, 2), (2, 2)])
+        centred = PointConfig.of([*corners, (1, 1)])
+        assert _corner_form(corners) == _corner_form(centred)
+        assert normal_form(corners) != normal_form(centred)
 
 
 class TestPointInHull:

@@ -1,5 +1,7 @@
 import itertools
 import os
+from functools import reduce
+from operator import or_
 
 import pytest
 
@@ -18,7 +20,8 @@ from wedgepower import (
     vertex_set,
     wedge_power,
 )
-from wedgepower.harness import GridSummary, Violation
+from wedgepower.harness import GridSummary, Violation, _fill_is_covered, _tables
+from wedgepower.wedge import SubsetSumTable
 
 import oracles
 
@@ -132,6 +135,39 @@ class TestUnionDecomposition:
         for v in vertex_set(base):
             others = wedge_power(remove_vertex(base, v), 2)
             assert not oracles.hull_membership((0, 0), list(others.points))
+
+
+class TestFillIsCovered:
+    """The union check tries the deletion layers first and their hull fills only after."""
+
+    @staticmethod
+    def _case(config, size):
+        base, deletions = _tables(config, size, size)
+        layers = reduce(or_, (table.layer(size) for table in deletions))
+        fills = reduce(or_, (table.hull_fill(size) for table in deletions))
+        return base.hull_fill(size), deletions, layers, fills
+
+    def test_fills_cover_what_the_layers_leave_out(self):
+        # the one orbit of the 3x2 grid whose union check needs the fills
+        config = PointConfig.of([(0, 0), (1, 1), (1, 2), (2, 1), (3, 1)])
+        whole, deletions, layers, fills = self._case(config, 2)
+        assert whole & ~layers and not whole & ~fills
+        assert _fill_is_covered(whole, deletions, 2)
+
+    def test_neither_layers_nor_fills_cover(self):
+        whole, deletions, _, fills = self._case(exceptional_triangle(1), 2)
+        assert whole & ~fills
+        assert not _fill_is_covered(whole, deletions, 2)
+
+    def test_covering_layers_need_no_fill(self, monkeypatch):
+        whole, deletions, layers, _ = self._case(grid_config(3), 2)
+        assert not whole & ~layers
+
+        def refuse(table, size):
+            raise AssertionError("a deletion table's hull fill was computed")
+
+        monkeypatch.setattr(SubsetSumTable, "hull_fill", refuse)
+        assert _fill_is_covered(whole, deletions, 2)
 
 
 class TestVerifyPolygon:
