@@ -159,7 +159,7 @@ def verify_counterexample(simplex: Optional[ColoredSimplex] = None) -> Counterex
 
     if simplex is None:
         simplex = build_colored_simplex()
-    table = SubsetSumTable(simplex.points.points, WEDGE_DEPTH)
+    table = SubsetSumTable(simplex.points.points, WEDGE_DEPTH, _one_layer=True)
 
     witness = witness_point(simplex)
     functional = simplex.functional

@@ -5,8 +5,14 @@ dense integer box marking every sum of c distinct points seen so far.  The
 box spans, per coordinate, only the sums that at most ``depth`` distinct
 points can reach.  Feeding one point at a time and updating layers from the
 top down keeps each point to a single use, and the whole update is one
-shifted OR on a big integer, so the inner loop is bit-parallel.  A naive
-oracle that walks all C(N, p) subsets backs it up at small sizes.
+shifted OR on a big integer, so the inner loop is bit-parallel.  Points are
+fed in ascending order of their flat offset: a layer is a set of sums, so
+the order does not change it, but a shift costs time linear in the length
+of the integer it makes, and small offsets first keep every layer short
+until the last points.  A table asked for a single layer d (the 3D witness,
+``wedge_power``) updates layer c only while c >= d - (points still to
+feed), since no lower layer can still reach d.  A naive oracle that walks
+all C(N, p) subsets backs it up at small sizes.
 
 numpy is imported only by ``coords`` and ``digest``, which only the 3D
 witness calls: every other reader of points, ``points_at`` and wedge powers
@@ -49,9 +55,22 @@ class SubsetSumTable:
     of more than TABLE_BIT_BUDGET bits (cells times depth + 1 layers) is
     refused with BudgetError before anything is allocated.  ``digest`` lays
     layers out in a box of its own, which is why it is stable.
+
+    With ``_one_layer`` the table holds layer ``depth`` and no other: the
+    layers below it are left partial and dropped as the feed passes them,
+    so reading any other layer raises ValueError, and so does growing a
+    table from it with ``_derived``.
     """
 
-    def __init__(self, points: Sequence[Point], depth: int, dim: Optional[int] = None, box=None):
+    def __init__(
+        self,
+        points: Sequence[Point],
+        depth: int,
+        dim: Optional[int] = None,
+        box=None,
+        *,
+        _one_layer: bool = False,
+    ):
         points = list(points)
         if depth < 0:
             raise ValueError("depth must be nonnegative")
@@ -89,6 +108,7 @@ class SubsetSumTable:
                 f"above the table budget of {TABLE_BIT_BUDGET} bits"
             )
 
+        self._one_layer = _one_layer
         self._layers = [1 << self._flatten((0,) * self.dim)] + [0] * depth
         self._feed(points)
 
@@ -98,13 +118,29 @@ class SubsetSumTable:
         Layers are updated from the top down, so a sum uses each point at
         most once.  After k points, layers 0..min(k, depth) and no others
         are nonempty, so the count of nonempty layers says where to start.
+        Points go in ascending order of flat offset.  The sums do not depend
+        on the order, but the time does: a shifted OR costs the length of
+        the integer it makes, and layer c reaches as far as the c largest
+        offsets fed so far.  Small offsets first keep the layers short until
+        the last points; a configuration's lexicographic order brings
+        the last coordinate's large stride in early and widens every layer
+        at once.
+
+        A one-layer table skips layer c while c + (points still to feed) <
+        depth, as it can no longer reach the depth, and zeroes each layer
+        as soon as no later point reads it.
         """
         layers, depth = self._layers, self.depth
+        offsets = sorted(sum(c * s for c, s in zip(point, self._strides)) for point in points)
         top = sum(map(bool, layers)) - 1
-        for point in points:
-            offset = sum(c * s for c, s in zip(point, self._strides))
+        todo = len(offsets)
+        for offset in offsets:
+            todo -= 1
             top = min(top + 1, depth)
-            for c in range(top, 0, -1):
+            low = max(depth - todo, 1) if self._one_layer else 1
+            if low > 1:
+                layers[low - 2] = 0  # no point from here on reads below layer low - 1
+            for c in range(top, low - 1, -1):
                 below = layers[c - 1]
                 if below:
                     layers[c] |= (below << offset) if offset >= 0 else (below >> -offset)
@@ -116,8 +152,11 @@ class SubsetSumTable:
         nothing, so it may hold fewer points than its depth.  The caller
         vouches for what the constructor would check: that depth is at most
         this table's, so the budget holds, and this box holds every sum of
-        at most that many of the new table's points.
+        at most that many of the new table's points.  A one-layer table is
+        refused: its nonempty layers are not the prefix ``_feed`` counts on.
         """
+        if self._one_layer:
+            raise ValueError(f"a one-layer table holds only layer {self.depth}; no table can grow from it")
         layers = list(self._layers if layers is None else layers)
         table = object.__new__(SubsetSumTable)  # the box's attributes are immutable and shared
         table.__dict__.update(self.__dict__, depth=len(layers) - 1, _layers=layers)
@@ -132,18 +171,20 @@ class SubsetSumTable:
 
     def contains(self, size: int, point: Sequence[int]) -> bool:
         """Is ``point`` a sum of exactly ``size`` distinct input points?"""
-        if not 0 <= size <= self.depth:
-            return False
+        layer = self.layer(size)
         pt = tuple(point)
-        if not self._in_box(pt):
-            return False
-        return bool((self._layers[size] >> self._flatten(pt)) & 1)
+        return self._in_box(pt) and bool((layer >> self._flatten(pt)) & 1)
 
     def count(self, size: int) -> int:
         return self.layer(size).bit_count()
 
     def layer(self, size: int) -> int:
-        """The bitset of sums of exactly ``size`` points; 0 beyond the depth."""
+        """The bitset of sums of exactly ``size`` points; 0 beyond the depth.
+
+        A one-layer table raises ValueError for any size but its depth.
+        """
+        if self._one_layer and size != self.depth:
+            raise ValueError(f"a one-layer table holds only layer {self.depth}, not layer {size}")
         return self._layers[size] if 0 <= size <= self.depth else 0
 
     def hull_fill(self, size: int) -> int:
@@ -256,7 +297,7 @@ def wedge_power(base: PointConfig, subset_size: int, method: str = "dp") -> Poin
     if not 0 <= subset_size <= len(base):
         return PointConfig.of([], dim=base.dim)
     if method == "dp":
-        table = SubsetSumTable(base.points, subset_size, dim=base.dim)
+        table = SubsetSumTable(base.points, subset_size, dim=base.dim, _one_layer=True)
         return PointConfig.of(table.points_at(subset_size), dim=base.dim)
     if method == "naive":
         n_subsets = comb(len(base), subset_size)

@@ -64,6 +64,12 @@ class TestWedgeCommand:
         assert payload["in_range"] is False
         assert "no subsets" in err
 
+    def test_wedge_prints_the_pinned_bytes(self, capsys):
+        # written when every wedge power was read from a table of all layers, fed in input order
+        code, out, _ = run(capsys, "wedge", "--input", DATA / "truncated-quadrant-8.json", "-p", "40")
+        assert code == 0
+        assert out == (DATA / "wedge-truncated-quadrant-8-p40.json").read_text()
+
     def test_naive_budget_exceeded(self, capsys, tmp_path):
         big = tmp_path / "big.json"
         big.write_text(json.dumps({"dim": 2, "points": [[i, 0] for i in range(30)]}))
@@ -192,6 +198,8 @@ class TestVerificationCommands:
         assert payload["witness_in_hull"] is True
         assert payload["slice_size"] == 6
         assert payload["min_level_attained"] == 712
+        # written when the witness table held all 43 layers, fed in input order
+        assert out == (DATA / "counterexample3d.json").read_text()
 
 
 class TestEquivalentCommand:

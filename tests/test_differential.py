@@ -26,6 +26,9 @@ The deletion tables the examination grows from one stem of the points that
 are not vertices must equal, bit for bit, tables built from each deletion's
 own points; and the grid run's grouping by corner form must make the orbits
 that normal forms make.
+A table's layers must not depend on the order its points are fed in, and a
+one-layer table must hold its full table's layer at its depth, bit for bit,
+and refuse every other read.
 """
 
 import itertools
@@ -339,6 +342,61 @@ def test_points_of_lists_what_the_numpy_unpacking_lists(case, data, rng):
     spare = rng.getrandbits(-cells % 8) << cells  # the last byte's bits past the box
     for bits in (0, layer, layer & rng.getrandbits(cells), layer | spare):
         assert table.points_of(bits) == oracles.points_of(table, bits)
+
+
+# --- feed order and one-layer tables against the full table ------------------
+
+
+@given(tables(), st.randoms(use_true_random=False))
+def test_tables_do_not_depend_on_the_order_of_their_points(case, rng):
+    # the constructor feeds in ascending offset order; feeding one point per
+    # call runs the permuted order itself
+    points, depth = case
+    table = SubsetSumTable(points, depth)
+    permuted = rng.sample(points, len(points))
+    assert SubsetSumTable(permuted, depth)._layers == table._layers
+    stepwise = table._derived([], [table.layer(0)] + [0] * depth)
+    for point in permuted:
+        stepwise._feed([point])
+    assert stepwise._layers == table._layers
+
+
+def _probes(points, table):
+    """Every sum of the table's points, their lattice neighbours and the corners of a box past the table's."""
+    dim = table.dim
+    units = [tuple(int(d == e) for e in range(dim)) for d in range(dim)]
+    steps = [(0,) * dim] + units + [tuple(-c for c in u) for u in units]
+    sums = {s for size in range(len(points) + 1) for s in oracles.naive_wedge(points, size)}
+    corners = itertools.product(*zip((lo - 1 for lo in table.box_lo), (hi + 1 for hi in table.box_hi)))
+    return {tuple(map(sum, zip(p, q))) for p in sums for q in steps} | set(corners)
+
+
+@given(point_sets)
+@example([(-3,), (2,), (-1,), (3,)])
+@example([(-1, 2), (3, -2), (0, -3), (-2, -2), (1, 1)])
+@example([(-1, 2, -3), (3, -2, 1), (0, 0, -1), (-2, -2, 2)])
+def test_one_layer_tables_hold_the_full_tables_layer(points):
+    # negative coordinates make negative offsets, so the feed shifts right too
+    for depth in range(len(points) + 1):
+        one = SubsetSumTable(points, depth, _one_layer=True)
+        full = SubsetSumTable(points, depth)
+        expected = oracles.naive_wedge(points, depth)
+        assert one.layer(depth) == full.layer(depth)
+        assert one.count(depth) == full.count(depth) == len(expected)
+        assert one.points_at(depth) == full.points_at(depth)
+        assert set(one.points_at(depth)) == expected
+        for point in _probes(points, full):
+            assert one.contains(depth, point) == full.contains(depth, point) == (point in expected)
+        origin = (0,) * one.dim
+        for size in (-1, *range(depth), depth + 1):
+            reads = (one.layer, one.count, one.points_at, one.coords, lambda c: one.contains(c, origin))
+            for read in reads:
+                with pytest.raises(ValueError, match=f"holds only layer {depth}, not layer {size}"):
+                    read(size)
+        with pytest.raises(ValueError, match=f"holds only layer {depth}"):
+            one._derived([])
+        with pytest.raises(ValueError, match=f"holds only layer {depth}"):
+            one._derived(points[:1], [one.layer(depth)])
 
 
 # --- the normal form and its equivalence maps against the search -------------

@@ -256,12 +256,14 @@ class TestSubsetSumTable:
             SubsetSumTable([(0, 0), (1, 1), (2, 0)], 2, box=small)
 
     def test_oversized_table_is_refused_before_allocating(self):
-        # depth 3 over coordinates near 10^4 would need about 2.7e13 cells per layer
+        # depth 3 over coordinates near 10^4 would need about 2.7e13 cells per layer,
+        # and a one-layer table is held to the same budget
         far = [(10_000, 0, 0), (0, 9_999, 1), (1, 2, 10_000)]
         tracemalloc.start()
         try:
-            with pytest.raises(BudgetError, match="table budget"):
-                SubsetSumTable(far, 3)
+            for one_layer in (False, True):
+                with pytest.raises(BudgetError, match="table budget"):
+                    SubsetSumTable(far, 3, _one_layer=one_layer)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
