@@ -32,7 +32,6 @@ from .geometry import (
     exceptional_triangle,
     lattice_points_of_polytope,
     normal_form,
-    point_in_hull,
     remove_vertex,
     vertex_set,
 )
@@ -80,7 +79,6 @@ __all__ = [
     "lattice_points_of_polytope",
     "normal_form",
     "plane_coordinates",
-    "point_in_hull",
     "quadrant_points_below",
     "reflect_complement",
     "remove_vertex",

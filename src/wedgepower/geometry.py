@@ -1,15 +1,16 @@
 """Exact integer geometry for lattice point sets in dimensions 1 to 3.
 
-Everything here runs on plain Python integers and fractions: orientation
-predicates are exact cross products, polygon rows run between integer
-ceilings and floors of two envelopes, and hull membership is decided by an
-exact rational feasibility test.  No floating point anywhere.
+Everything here runs on plain Python integers: orientation predicates are
+exact cross products, polygon rows run between integer ceilings and floors
+of two envelopes, and divisions are floor divisions that are exact or
+rounded on purpose.  No floating point and no rationals anywhere.  Hulls,
+vertex sets and lattice point enumeration are planar (or one-dimensional);
+dimension 3 has configurations, maps and determinants only.
 """
 
 import bisect
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -258,10 +259,7 @@ def lattice_points_of_polytope(poly: Polytope) -> PointConfig:
     ceiling of the vertices' left envelope to the floor of their right one.
     """
     if poly.dim_ambient > 2:
-        raise DimensionError(
-            "lattice point enumeration is limited to ambient dimension <= 2; "
-            "use point_in_hull for membership queries in dimension 3"
-        )
+        raise DimensionError(f"lattice point enumeration is limited to ambient dimension <= 2, got {poly.dim_ambient}")
     if poly.dim_ambient == 1:
         xs = [v[0] for v in poly.vertices]
         return PointConfig.of([(x,) for x in range(min(xs), max(xs) + 1)], dim=1)
@@ -292,20 +290,15 @@ def _ceil_envelope(rows: Sequence[Point]) -> list[int]:
 
 
 def vertex_set(config: PointConfig) -> PointConfig:
-    """The extremal points of conv(config): those not in the hull of the others."""
+    """The extremal points of conv(config) for dimension 1 or 2: those not in the hull of the others."""
+    if config.dim == 3:
+        raise DimensionError("vertex sets are computed in dimension 1 or 2, got dimension 3")
     if len(config) == 0:
         raise ValueError("vertex_set needs a nonempty configuration")
     if config.dim == 1:
         lo, hi = config.points[0], config.points[-1]
         return PointConfig.of({lo, hi}, dim=1)
-    if config.dim == 2:
-        return PointConfig.of(convex_hull_2d(config).vertices, dim=2)
-    extremal = [
-        p for p in config
-        if len(config) == 1
-        or not point_in_hull(PointConfig.of([q for q in config if q != p], dim=3), p)
-    ]
-    return PointConfig.of(extremal, dim=3)
+    return PointConfig.of(convex_hull_2d(config).vertices, dim=2)
 
 
 def remove_vertex(config: PointConfig, vertex: Sequence[int]) -> PointConfig:
@@ -467,67 +460,3 @@ def _corner_form(config: PointConfig) -> tuple[Point, ...]:
 @lru_cache(maxsize=64)
 def _exceptional_normal_form(index: int) -> tuple[Point, ...]:
     return normal_form(exceptional_triangle(index))
-
-
-def point_in_hull(config: PointConfig, point: Sequence[int]) -> bool:
-    """Exact test for ``point`` in conv(config) via rational feasibility.
-
-    Decides whether the point is a convex combination of the configuration
-    by a phase-one simplex over Fractions with Bland's rule, so the answer
-    is exact in every ambient dimension up to 3.
-    """
-    q = _as_point(point)
-    if len(config) == 0:
-        raise ValueError("point_in_hull needs a nonempty configuration")
-    if len(q) != config.dim:
-        raise DimensionError("query point dimension does not match configuration")
-    # cheap bounding box rejection
-    for d in range(config.dim):
-        coords = [p[d] for p in config.points]
-        if not min(coords) <= q[d] <= max(coords):
-            return False
-    columns = [p + (1,) for p in config.points]
-    rhs = list(q) + [1]
-    return _rational_feasible(columns, rhs)
-
-
-def _rational_feasible(columns: Sequence[Point], rhs: Sequence[int]) -> bool:
-    """Is there x >= 0 with sum_i x_i * columns[i] == rhs, over the rationals?"""
-    rows = len(rhs)
-    ncols = len(columns)
-    tab = [[Fraction(columns[j][i]) for j in range(ncols)] for i in range(rows)]
-    b = [Fraction(v) for v in rhs]
-    for i in range(rows):
-        if b[i] < 0:
-            tab[i] = [-x for x in tab[i]]
-            b[i] = -b[i]
-    # phase one: minimize the sum of artificial slacks, starting basis = artificials
-    obj = [sum(tab[i][j] for i in range(rows)) for j in range(ncols)]
-    value = sum(b)
-    basis = [ncols + i for i in range(rows)]  # artificials get indices past the real columns
-    while True:
-        enter = next((j for j in range(ncols) if obj[j] > 0), None)
-        if enter is None:
-            return value == 0
-        pivot_row = None
-        best = None
-        for i in range(rows):
-            if tab[i][enter] > 0:
-                ratio = b[i] / tab[i][enter]
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[pivot_row]):
-                    best = ratio
-                    pivot_row = i
-        if pivot_row is None:
-            return value == 0  # unbounded cannot happen in phase one
-        piv = tab[pivot_row][enter]
-        tab[pivot_row] = [x / piv for x in tab[pivot_row]]
-        b[pivot_row] /= piv
-        for i in range(rows):
-            if i != pivot_row and tab[i][enter]:
-                f = tab[i][enter]
-                tab[i] = [x - f * y for x, y in zip(tab[i], tab[pivot_row])]
-                b[i] -= f * b[pivot_row]
-        f = obj[enter]
-        obj = [x - f * y for x, y in zip(obj, tab[pivot_row])]
-        value -= f * b[pivot_row]
-        basis[pivot_row] = enter

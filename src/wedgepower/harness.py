@@ -84,37 +84,34 @@ def enumerate_lattice_convex(grid: GridSpec) -> list[PointConfig]:
     return [PointConfig(2, points) for points in found]
 
 
-# A configuration's table and one per hull-vertex deletion, in one box, so that
-# wedges compare with integer AND and OR; the checks below can share one set.
-_Tables = tuple[SubsetSumTable, list[SubsetSumTable]]
-
-
-def _tables(config: PointConfig, depth: int, deletion_depth: int) -> _Tables:
+def _tables(config: PointConfig, depth: int, deletion_depth: int) -> tuple[SubsetSumTable, list[SubsetSumTable]]:
     """The base table at ``depth`` and each vertex deletion's at ``deletion_depth`` <= ``depth``.
 
+    All of them share one box, so wedges compare with integer AND and OR.
     Every deletion keeps the points that are not vertices, so they are fed
     once, into a stem in the base table's box; each deletion table is the
     stem with the other vertices fed in.  Layers are sets of sums, which
     do not depend on the order points are fed in.
     """
-    base = SubsetSumTable(config.points, depth, dim=config.dim)
     vertices = vertex_set(config)
+    base = SubsetSumTable(config.points, depth, dim=config.dim)
     inner = [q for q in config.points if q not in vertices]
     stem = base._derived(inner, [base.layer(0)] + [0] * deletion_depth)
     return base, [stem._derived([w for w in vertices if w != v]) for v in vertices]
 
 
-def is_p_good(config: PointConfig, subset_size: int, tables: Optional[_Tables] = None) -> Optional[Point]:
+def is_p_good(config: PointConfig, subset_size: int) -> Optional[Point]:
     """A common point of the size-``subset_size`` wedges of all one-vertex deletions.
 
     Returns the canonically smallest witness, or None when the intersection
-    over the hull vertices is empty.
+    over the hull vertices is empty.  Configurations of dimension 3 are
+    refused with DimensionError, as their vertex sets are.
     """
     if len(config) < 2:
         raise ValueError("p-goodness needs at least two points")
     if not 1 <= subset_size <= len(config) - 1:
         raise ValueError("subset size must be between 1 and N-1")
-    base, deletions = tables or _tables(config, subset_size, subset_size)
+    base, deletions = _tables(config, subset_size, subset_size)
     common = _common_layer(deletions, subset_size)
     return min(base.points_of(common)) if common else None
 
@@ -124,7 +121,7 @@ def _common_layer(deletions: list[SubsetSumTable], size: int) -> int:
     return reduce(and_, (table.layer(size) for table in deletions))
 
 
-def union_decomposition_holds(config: PointConfig, subset_size: int, tables: Optional[_Tables] = None) -> bool:
+def union_decomposition_holds(config: PointConfig, subset_size: int) -> bool:
     """Does the hull of the wedge decompose into the hulls of the deleted-vertex wedges?
 
     Checked at lattice level: every lattice point of conv of the full wedge
@@ -134,7 +131,7 @@ def union_decomposition_holds(config: PointConfig, subset_size: int, tables: Opt
         raise ValueError("subset size must be between 1 and N")
     if config.dim != 2:
         raise DimensionError("union decomposition is checked for planar configurations")
-    base, deletions = tables or _tables(config, subset_size, min(subset_size, len(config) - 1))
+    base, deletions = _tables(config, subset_size, min(subset_size, len(config) - 1))
     return _fill_is_covered(base.hull_fill(subset_size), deletions, subset_size)
 
 

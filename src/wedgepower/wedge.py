@@ -59,7 +59,9 @@ class SubsetSumTable:
     With ``_one_layer`` the table holds layer ``depth`` and no other: the
     layers below it are left partial and dropped as the feed passes them,
     so reading any other layer raises ValueError, and so does growing a
-    table from it with ``_derived``.
+    table from it with ``_derived``.  Of N points, at most N - depth + 2
+    of its layers are nonempty at once, and the budget charges it
+    min(depth + 1, N - depth + 2) layers.
     """
 
     def __init__(
@@ -102,9 +104,10 @@ class SubsetSumTable:
         self._shape = tuple(shape)
         self._strides = tuple(strides)
         self.total_cells = strides[-1] * shape[-1]
-        if self.total_cells * (depth + 1) > TABLE_BIT_BUDGET:
+        held = min(depth + 1, len(points) - depth + 2) if _one_layer else depth + 1
+        if self.total_cells * held > TABLE_BIT_BUDGET:
             raise BudgetError(
-                f"subset-sum table needs {self.total_cells} cells x {depth + 1} layers, "
+                f"subset-sum table needs {self.total_cells} cells x {held} layers, "
                 f"above the table budget of {TABLE_BIT_BUDGET} bits"
             )
 

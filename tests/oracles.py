@@ -479,15 +479,15 @@ def per_deletion_tables(config, depth, deletion_depth):
 def full_depth_examine_config(config):
     problems = []
     n = len(config)
-    tables = per_deletion_tables(config, n, n // 2)
+    base, deletions = tables = per_deletion_tables(config, n, n // 2)
     report = full_depth_verify_polygon(config, tables)
     if report.verdict != "conforms":
         problems.append(("wedge-convexity", None))
     for p in range(1, n // 2 + 1):
-        good = harness.is_p_good(config, p, tables) is not None
+        good = bool(harness._common_layer(deletions, p))
         if n >= 5 and not good:
             problems.append(("not-p-good", p))
-        if n >= 4 and good and not harness.union_decomposition_holds(config, p, tables):
+        if n >= 4 and good and not harness._fill_is_covered(base.hull_fill(p), deletions, p):
             problems.append(("union-decomposition", p))
     return report.exception_k, problems
 

@@ -180,6 +180,16 @@ class TestVerificationCommands:
         assert code == 0
         assert json.loads(out)["witness"] == [3, 0]
 
+    def test_p_good_refuses_3d(self, capsys, tmp_path):
+        # p-goodness is a planar proof step: a 3D input is an input error, not a verdict
+        solid = tmp_path / "simplex.json"
+        solid.write_text('{"dim": 3, "points": [[0, 0, 0], [3, 0, 0], [0, 3, 0], [0, 0, 3], [1, 1, 1]]}')
+        code, out, err = run(capsys, "p-good", "--input", solid, "-p", "2")
+        assert (code, out) == (1, "")
+        assert err.startswith("error:")
+        assert "dimension 3" in err
+        assert "Traceback" not in err
+
     def test_cornercut_cell(self, capsys):
         code, out, _ = run(capsys, "cornercut", "-d", "2", "-B", "2")
         assert code == 0

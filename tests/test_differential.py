@@ -41,6 +41,7 @@ from hypothesis import strategies as st
 
 from wedgepower import (
     AffineUnimodularMap,
+    DimensionError,
     GridSpec,
     PointConfig,
     SubsetSumTable,
@@ -667,6 +668,14 @@ OTHER_DIMENSIONS = {
 
 @pytest.mark.parametrize("config", OTHER_DIMENSIONS.values(), ids=OTHER_DIMENSIONS.keys())
 def test_stem_tables_match_independent_builds_in_dimensions_1_and_3(config):
+    if config.dim == 3:
+        # vertex sets are planar, so no deletion table is built and p-goodness is refused
+        with pytest.raises(DimensionError, match="dimension 3"):
+            harness._tables(config, 1, 1)
+        for p in range(1, len(config)):
+            with pytest.raises(DimensionError, match="dimension 3"):
+                is_p_good(config, p)
+        return
     _assert_stem_tables_match_at_every_use(config)
     for p in range(1, len(config)):
         assert is_p_good(config, p) == oracles.is_p_good(config, p), (config, p)

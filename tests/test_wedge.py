@@ -18,7 +18,6 @@ from wedgepower import (
     check_lattice_convex,
     convex_hull_2d,
     exceptional_triangle,
-    point_in_hull,
     reflect_complement,
     wedge_power,
 )
@@ -104,7 +103,7 @@ class TestWedgePower:
             [tuple(size * c for c in v) for v in convex_hull_2d(config).vertices]
         )
         for point in wedge_power(config, size):
-            assert point_in_hull(dilated, point)
+            assert oracles.hull_membership(point, dilated.points)
 
     def test_monotone_in_the_base(self):
         rng = random.Random(3)
@@ -276,6 +275,40 @@ class TestSubsetSumTable:
         monkeypatch.setattr(wedge_module, "TABLE_BIT_BUDGET", 17)
         with pytest.raises(BudgetError):
             SubsetSumTable(pts, 2)
+
+    def test_one_layer_budget_charges_the_layers_it_holds(self, monkeypatch):
+        # the points 0..4 at depth 4: box [0, 10], 11 cells; a one-layer table holds
+        # at most 5 - 4 + 2 = 3 layers at once, a full table all 5
+        config = PointConfig.of([(i,) for i in range(5)])
+        monkeypatch.setattr(wedge_module, "TABLE_BIT_BUDGET", 33)
+        assert SubsetSumTable(config.points, 4, _one_layer=True).total_cells == 11
+        assert wedge_power(config, 4).points == ((6,), (7,), (8,), (9,), (10,))
+        with pytest.raises(BudgetError, match="11 cells x 5 layers"):
+            SubsetSumTable(config.points, 4)
+        monkeypatch.setattr(wedge_module, "TABLE_BIT_BUDGET", 32)
+        with pytest.raises(BudgetError, match="11 cells x 3 layers"):
+            wedge_power(config, 4)
+
+    def test_one_layer_feed_holds_no_more_layers_than_charged(self, monkeypatch):
+        feed, peaks = SubsetSumTable._feed, []
+
+        class Watched(list):
+            peak = 0
+
+            def __setitem__(self, index, value):
+                super().__setitem__(index, value)
+                self.peak = max(self.peak, sum(map(bool, self)))
+
+        def watched_feed(table, points):
+            table._layers = Watched(table._layers)
+            feed(table, points)
+            peaks.append(table._layers.peak)
+
+        monkeypatch.setattr(SubsetSumTable, "_feed", watched_feed)
+        for n in range(1, 13):
+            for depth in range(n + 1):
+                SubsetSumTable([(i,) for i in range(n)], depth, _one_layer=True)
+                assert peaks.pop() <= min(depth + 1, n - depth + 2), (n, depth)
 
     @given(
         st.integers(1, 3).flatmap(
