@@ -7,8 +7,10 @@ then certifies that every lattice point of that wedge's hull is a sum of d
 distinct quadrant points.
 """
 
-from .geometry import PointConfig
+from .geometry import BudgetError, PointConfig
 from .wedge import ConvexityReport, SubsetSumTable
+
+BOUND_LIMIT = 1_000  # at it, (B + 1)(B + 2) / 2 = 501,501 points are listed before the table budget is checked
 
 
 def truncated_quadrant(bound: int) -> PointConfig:
@@ -24,10 +26,13 @@ def verify_corner_cut(subset_size: int, bound: int) -> ConvexityReport:
     """Lattice-convexity of the ``subset_size``-th wedge power of the truncation.
 
     Requires bound >= 2 so the truncation contains the unit square, keeping
-    it clear of the exceptional family.
+    it clear of the exceptional family, and refuses a bound above
+    BOUND_LIMIT before listing any point.
     """
     if bound < 2:
         raise ValueError("bound must be at least 2")
+    if bound > BOUND_LIMIT:
+        raise BudgetError(f"bound {bound} is above the corner-cut bound limit of {BOUND_LIMIT}")
     quadrant = truncated_quadrant(bound)
     if not 1 <= subset_size <= len(quadrant):
         raise ValueError(

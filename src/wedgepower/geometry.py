@@ -209,11 +209,7 @@ def _det(matrix: Sequence[Sequence[int]]) -> int:
     n = len(matrix)
     if n == 0:
         return 1
-    if n == 1:
-        return matrix[0][0]
-    if n == 2:
-        return matrix[0][0] * matrix[1][1] - matrix[0][1] * matrix[1][0]
-    if n == 3:
+    if n <= 3:
         return sum((-1) ** j * matrix[0][j] * _det(_minor(matrix, 0, j)) for j in range(n))
     raise DimensionError("determinants supported up to 3x3")
 
@@ -386,21 +382,12 @@ def are_equivalent(source: PointConfig, target: PointConfig) -> Optional[AffineU
         raise DimensionError("equivalence is decided for planar configurations")
     if len(source) != len(target) or len(source) == 0:
         return None
-    image, ((a, b), (c, d)), (e, f) = _frames(source)[0]
-    candidates = []  # (matrix, translation) of each equivalence, as plain tuples
-    for other, ((p, q), (r, s)), (g, h) in _frames(target):
-        if other == image:
-            det = p * s - q * r  # +-1, so dividing by it is multiplying by it
-            inverse = ((det * s, -det * q), (-det * r, det * p))
-            matrix = tuple((i * a + j * c, i * b + j * d) for i, j in inverse)
-            candidates.append((matrix, tuple(i * (e - g) + j * (f - h) for i, j in inverse)))
-
-    def images(candidate):
-        ((m, n), (u, v)), (tx, ty) = candidate
-        return [(m * x + n * y + tx, u * x + v * y + ty) for x, y in source.points]
-
-    best = min(candidates, key=images, default=None)
-    return None if best is None else AffineUnimodularMap(*best)
+    image, *frame = _frames(source)[0]
+    first = AffineUnimodularMap(*frame)
+    maps = [
+        AffineUnimodularMap(*other).inverse().compose(first) for found, *other in _frames(target) if found == image
+    ]
+    return min(maps, key=lambda m: list(map(m.apply, source.points)), default=None)
 
 
 def normal_form(config: PointConfig) -> tuple[Point, ...]:

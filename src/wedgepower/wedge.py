@@ -33,7 +33,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 NAIVE_SUBSET_LIMIT = 10_000_000
-TABLE_BIT_BUDGET = 1 << 33  # cells times layers of one SubsetSumTable: 1 GiB of bitsets
+TABLE_BIT_BUDGET = 1 << 33  # cells times charged layers of one SubsetSumTable: 1 GiB of bitsets
 _DIGEST_CHUNK = 1 << 16  # bytes of a digest's layout hashed at a time
 _SET_BITS = tuple(tuple(i for i in range(8) if byte >> i & 1) for byte in range(256))
 
@@ -50,18 +50,20 @@ class SubsetSumTable:
     integers: shifting by a point's flattened offset adds that point to
     every sum of the layer below in one operation.
 
-    Passing another table as ``box`` builds in that table's (large enough)
-    box instead: a bit then means the same point in both tables.  A table
-    of more than TABLE_BIT_BUDGET bits (cells times depth + 1 layers) is
-    refused with BudgetError before anything is allocated.  ``digest`` lays
-    layers out in a box of its own, which is why it is stable.
+    ``_derived`` builds further tables in the same box, so a bit means the
+    same point in all of them.  A table of more than TABLE_BIT_BUDGET bits
+    is refused with BudgetError before anything is allocated: it is
+    charged its cells times the layers it holds plus two, for the shifted
+    copy and the new layer that each shifted OR briefly holds beside the
+    old one.  ``digest`` lays layers out in a box of its own, which is why
+    it is stable.
 
     With ``_one_layer`` the table holds layer ``depth`` and no other: the
     layers below it are left partial and dropped as the feed passes them,
     so reading any other layer raises ValueError, and so does growing a
     table from it with ``_derived``.  Of N points, at most N - depth + 2
-    of its layers are nonempty at once, and the budget charges it
-    min(depth + 1, N - depth + 2) layers.
+    of its layers are nonempty at once, so it holds min(depth + 1,
+    N - depth + 2) layers where a full table holds depth + 1.
     """
 
     def __init__(
@@ -69,7 +71,6 @@ class SubsetSumTable:
         points: Sequence[Point],
         depth: int,
         dim: Optional[int] = None,
-        box=None,
         *,
         _one_layer: bool = False,
     ):
@@ -92,11 +93,6 @@ class SubsetSumTable:
             tuple(min(0, depth * col[0]) for col in columns),
             tuple(max(0, depth * col[-1]) for col in columns),
         )
-        if box is not None:
-            if box.dim != self.dim or not (box._in_box(self.box_lo) and box._in_box(self.box_hi)):
-                raise ValueError("the given box does not hold every sum this table needs")
-            self.box_lo, self.box_hi = box.box_lo, box.box_hi
-            self._digest_box = box._digest_box
         shape = [hi - lo + 1 for lo, hi in zip(self.box_lo, self.box_hi)]
         strides = [1] * self.dim
         for d in range(1, self.dim):
@@ -105,10 +101,10 @@ class SubsetSumTable:
         self._strides = tuple(strides)
         self.total_cells = strides[-1] * shape[-1]
         held = min(depth + 1, len(points) - depth + 2) if _one_layer else depth + 1
-        if self.total_cells * held > TABLE_BIT_BUDGET:
+        if self.total_cells * (held + 2) > TABLE_BIT_BUDGET:
             raise BudgetError(
-                f"subset-sum table needs {self.total_cells} cells x {held} layers, "
-                f"above the table budget of {TABLE_BIT_BUDGET} bits"
+                f"subset-sum table needs {self.total_cells} cells x {held + 2} layers ({held} held and 2 in "
+                f"a shifted OR), above the table budget of {TABLE_BIT_BUDGET} bits"
             )
 
         self._one_layer = _one_layer
@@ -119,11 +115,10 @@ class SubsetSumTable:
         """Add each point to every sum of the layers: one shifted OR per layer and point.
 
         Layers are updated from the top down, so a sum uses each point at
-        most once.  After k points, layers 0..min(k, depth) and no others
-        are nonempty, so the count of nonempty layers says where to start.
-        Points go in ascending order of flat offset.  The sums do not depend
-        on the order, but the time does: a shifted OR costs the length of
-        the integer it makes, and layer c reaches as far as the c largest
+        most once; an empty layer below adds nothing and is skipped.  Points
+        go in ascending order of flat offset.  The sums do not depend on the
+        order, but the time does: a shifted OR costs the length of the
+        integer it makes, and layer c reaches as far as the c largest
         offsets fed so far.  Small offsets first keep the layers short until
         the last points; a configuration's lexicographic order brings
         the last coordinate's large stride in early and widens every layer
@@ -135,15 +130,13 @@ class SubsetSumTable:
         """
         layers, depth = self._layers, self.depth
         offsets = sorted(sum(c * s for c, s in zip(point, self._strides)) for point in points)
-        top = sum(map(bool, layers)) - 1
         todo = len(offsets)
         for offset in offsets:
             todo -= 1
-            top = min(top + 1, depth)
             low = max(depth - todo, 1) if self._one_layer else 1
             if low > 1:
                 layers[low - 2] = 0  # no point from here on reads below layer low - 1
-            for c in range(top, low - 1, -1):
+            for c in range(depth, low - 1, -1):
                 below = layers[c - 1]
                 if below:
                     layers[c] |= (below << offset) if offset >= 0 else (below >> -offset)
@@ -156,7 +149,7 @@ class SubsetSumTable:
         vouches for what the constructor would check: that depth is at most
         this table's, so the budget holds, and this box holds every sum of
         at most that many of the new table's points.  A one-layer table is
-        refused: its nonempty layers are not the prefix ``_feed`` counts on.
+        refused: its layers below the depth are partial.
         """
         if self._one_layer:
             raise ValueError(f"a one-layer table holds only layer {self.depth}; no table can grow from it")
@@ -260,9 +253,9 @@ class SubsetSumTable:
 
         The layer is hashed as laid out in the digest box, each coordinate
         [min(0, depth * lo), max(0, depth * hi)] for its input range [lo, hi]
-        (the given table's under ``box=``), so fingerprints do not depend on
-        the box the table is built in.  ``coords`` may pass the layer's
-        already extracted ``coords(size)``.
+        (a derived table keeps the digest box of the table it grew from), so
+        fingerprints do not depend on the box the table is built in.
+        ``coords`` may pass the layer's already extracted ``coords(size)``.
         """
         import numpy as np
 

@@ -470,10 +470,10 @@ def full_depth_verify_polygon(config, tables=None):
 
 
 def per_deletion_tables(config, depth, deletion_depth):
-    """The earlier ``harness._tables``: the base table and every vertex deletion's, each built on its own."""
+    """The earlier ``harness._tables``: the base table and every vertex deletion's, each fed all its own points."""
     base = BitsetTable(config.points, depth, dim=config.dim)
     rests = ([q for q in config.points if q != v] for v in vertex_set(config))
-    return base, [BitsetTable(r, deletion_depth, dim=config.dim, box=base) for r in rests]
+    return base, [base._derived(r, [base.layer(0)] + [0] * deletion_depth) for r in rests]
 
 
 def full_depth_examine_config(config):

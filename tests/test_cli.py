@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import wedgepower
+import wedgepower.cornercut as cornercut_module
 import wedgepower.wedge as wedge_module
 from wedgepower import BudgetError, SubsetSumTable, exceptional_triangle, truncated_quadrant
 from wedgepower.cli import main
@@ -122,7 +123,7 @@ class TestVerificationCommands:
         assert out == (DATA / f"verify-polygon-{name}.json").read_text()
 
     def test_verify_polygon_over_the_table_budget_is_refused_before_allocating(self, capsys, tmp_path):
-        # depth 1 over a primitive segment: 2 x (3e9 + 1) cells in 2 layers, above 2^33 bits
+        # depth 1 over a primitive segment: 2 x (3e9 + 1) cells in 2 + 2 layers, above 2^33 bits
         far = tmp_path / "far.json"
         far.write_text('{"dim": 2, "points": [[0, 0], [1, 3000000000]]}')
         tracemalloc.start()
@@ -137,14 +138,14 @@ class TestVerificationCommands:
 
     def test_verify_polygon_budget_applies_at_half_depth(self, capsys, monkeypatch):
         quadrant = truncated_quadrant(8)  # 45 points: a depth-22 table, where a depth-45 one was read
-        half = SubsetSumTable(quadrant.points, 22)
-        monkeypatch.setattr(wedge_module, "TABLE_BIT_BUDGET", half.total_cells * 23)
+        half = SubsetSumTable(quadrant.points, 22)  # charged 23 layers and 2 for a shifted OR
+        monkeypatch.setattr(wedge_module, "TABLE_BIT_BUDGET", half.total_cells * 25)
         with pytest.raises(BudgetError, match="table budget"):
             oracles.full_depth_verify_polygon(quadrant)
         code, out, _ = run(capsys, "verify-polygon", "--input", DATA / "truncated-quadrant-8.json")
         assert code == 0
         assert out == (DATA / "verify-polygon-truncated-quadrant-8.json").read_text()
-        monkeypatch.setattr(wedge_module, "TABLE_BIT_BUDGET", half.total_cells * 23 - 1)
+        monkeypatch.setattr(wedge_module, "TABLE_BIT_BUDGET", half.total_cells * 25 - 1)
         code, out, err = run(capsys, "verify-polygon", "--input", DATA / "truncated-quadrant-8.json")
         assert (code, out) == (1, "")
         assert "table budget" in err
@@ -197,6 +198,23 @@ class TestVerificationCommands:
         assert payload["convex"] is True
         assert payload["missing"] == []
         assert payload["wedge_size"] == 12
+
+    def test_cornercut_above_the_bound_limit_is_refused_before_listing_points(self, capsys, monkeypatch):
+        # -B 10^6 would list about 5e11 quadrant points
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "cornercut", "-d", "1", "-B", "1000000")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (1, "")
+        assert err == "error: bound 1000000 is above the corner-cut bound limit of 1000\n"
+        assert peak < 1 << 20
+        monkeypatch.setattr(cornercut_module, "BOUND_LIMIT", 4)
+        assert run(capsys, "cornercut", "-d", "2", "-B", "4")[0] == 0
+        code, out, err = run(capsys, "cornercut", "-d", "2", "-B", "5")
+        assert (code, out) == (1, "")
+        assert "bound limit of 4" in err
 
     def test_counterexample3d_report(self, capsys):
         code, out, _ = run(capsys, "counterexample3d")

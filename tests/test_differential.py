@@ -312,7 +312,7 @@ def test_tables_in_a_given_box_give_the_earlier_answers(case, data):
     rest = data.draw(st.lists(st.sampled_from(points), unique=True))
     rest_depth = data.draw(st.integers(0, min(depth, len(rest))))
     base = SubsetSumTable(points, depth)
-    inside = SubsetSumTable(rest, rest_depth, dim=dim, box=base)
+    inside = base._derived(rest, [base.layer(0)] + [0] * rest_depth)
     assert (inside.box_lo, inside.box_hi) == (base.box_lo, base.box_hi)
     reference_base = oracles.SubsetSumTable(points, depth, dim)
     _assert_same_table(inside, oracles.SubsetSumTable(rest, rest_depth, dim, box=reference_base))
@@ -337,7 +337,7 @@ def test_points_of_lists_what_the_numpy_unpacking_lists(case, data, rng):
     if data.draw(st.booleans()):  # a table of fewer points in the larger box
         rest = data.draw(st.lists(st.sampled_from(points), unique=True))
         rest_depth = data.draw(st.integers(0, min(depth, len(rest))))
-        table = SubsetSumTable(rest, rest_depth, dim=table.dim, box=table)
+        table = table._derived(rest, [table.layer(0)] + [0] * rest_depth)
     cells = table.total_cells
     layer = table.layer(data.draw(st.integers(0, table.depth)))
     spare = rng.getrandbits(-cells % 8) << cells  # the last byte's bits past the box

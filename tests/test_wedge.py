@@ -240,7 +240,7 @@ class TestSubsetSumTable:
         base = SubsetSumTable(pts, len(pts))
         for drop in pts:
             rest = [q for q in pts if q != drop]
-            inside = SubsetSumTable(rest, 2, box=base)
+            inside = base._derived(rest, [base.layer(0)] + [0] * 2)
             alone = SubsetSumTable(rest, 2)
             assert (inside.box_lo, inside.box_hi) == (base.box_lo, base.box_hi)
             for size in range(4):
@@ -248,11 +248,6 @@ class TestSubsetSumTable:
                     alone.points_of(alone.layer(size))
                 )
         assert base.layer(len(pts) + 1) == 0
-
-    def test_too_small_box_is_refused(self):
-        small = SubsetSumTable([(0, 0), (1, 1)], 1)
-        with pytest.raises(ValueError, match="box"):
-            SubsetSumTable([(0, 0), (1, 1), (2, 0)], 2, box=small)
 
     def test_oversized_table_is_refused_before_allocating(self):
         # depth 3 over coordinates near 10^4 would need about 2.7e13 cells per layer,
@@ -269,24 +264,25 @@ class TestSubsetSumTable:
         assert peak < 1 << 20
 
     def test_budget_admits_exactly_its_bit_count(self, monkeypatch):
-        pts = [(0, 0), (2, 1)]  # depth 2: box [0, 2] x [0, 1], 6 cells, 3 layers
-        monkeypatch.setattr(wedge_module, "TABLE_BIT_BUDGET", 18)
+        pts = [(0, 0), (2, 1)]  # depth 2: box [0, 2] x [0, 1], 6 cells, 3 + 2 layers
+        monkeypatch.setattr(wedge_module, "TABLE_BIT_BUDGET", 30)
         assert SubsetSumTable(pts, 2).total_cells == 6
-        monkeypatch.setattr(wedge_module, "TABLE_BIT_BUDGET", 17)
+        monkeypatch.setattr(wedge_module, "TABLE_BIT_BUDGET", 29)
         with pytest.raises(BudgetError):
             SubsetSumTable(pts, 2)
 
     def test_one_layer_budget_charges_the_layers_it_holds(self, monkeypatch):
         # the points 0..4 at depth 4: box [0, 10], 11 cells; a one-layer table holds
-        # at most 5 - 4 + 2 = 3 layers at once, a full table all 5
+        # at most 5 - 4 + 2 = 3 layers at once, a full table all 5, and each
+        # shifted OR 2 more
         config = PointConfig.of([(i,) for i in range(5)])
-        monkeypatch.setattr(wedge_module, "TABLE_BIT_BUDGET", 33)
+        monkeypatch.setattr(wedge_module, "TABLE_BIT_BUDGET", 55)
         assert SubsetSumTable(config.points, 4, _one_layer=True).total_cells == 11
         assert wedge_power(config, 4).points == ((6,), (7,), (8,), (9,), (10,))
-        with pytest.raises(BudgetError, match="11 cells x 5 layers"):
+        with pytest.raises(BudgetError, match=r"11 cells x 7 layers \(5 held and 2 in a shifted OR\)"):
             SubsetSumTable(config.points, 4)
-        monkeypatch.setattr(wedge_module, "TABLE_BIT_BUDGET", 32)
-        with pytest.raises(BudgetError, match="11 cells x 3 layers"):
+        monkeypatch.setattr(wedge_module, "TABLE_BIT_BUDGET", 54)
+        with pytest.raises(BudgetError, match=r"11 cells x 5 layers \(3 held and 2 in a shifted OR\)"):
             wedge_power(config, 4)
 
     def test_one_layer_feed_holds_no_more_layers_than_charged(self, monkeypatch):
@@ -310,6 +306,28 @@ class TestSubsetSumTable:
                 SubsetSumTable([(i,) for i in range(n)], depth, _one_layer=True)
                 assert peaks.pop() <= min(depth + 1, n - depth + 2), (n, depth)
 
+    @pytest.mark.parametrize(
+        "points, depth, one_layer",
+        [
+            ([(i * 200_000,) for i in range(40)], 39, True),  # 156,000,001 cells x (3 + 2) layers
+            # the far point comes last and stretches layers 1..11 to the whole box at once
+            ([(i,) for i in range(10)] + [(2_000_000,)], 11, False),  # 2,000,046 cells x (12 + 2) layers
+        ],
+    )
+    def test_feed_peak_memory_stays_within_the_charge(self, points, depth, one_layer, monkeypatch):
+        held = min(depth + 1, len(points) - depth + 2) if one_layer else depth + 1
+        tracemalloc.start()
+        try:
+            table = SubsetSumTable(points, depth, _one_layer=one_layer)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        charge = table.total_cells * (held + 2)
+        assert peak <= charge // 8
+        monkeypatch.setattr(wedge_module, "TABLE_BIT_BUDGET", charge - 1)
+        with pytest.raises(BudgetError, match="table budget"):
+            SubsetSumTable(points, depth, _one_layer=one_layer)
+
     @given(
         st.integers(1, 3).flatmap(
             lambda dim: st.lists(st.tuples(*[st.integers(-3, 3)] * dim), min_size=1, max_size=6, unique=True)
@@ -325,7 +343,7 @@ class TestSubsetSumTable:
             for subset in itertools.combinations(points, size)
         ]
         lo, hi = tuple(map(min, zip(*sums))), tuple(map(max, zip(*sums)))
-        needed = (depth + 1) * prod(b - a + 1 for a, b in zip(lo, hi))
+        needed = (depth + 3) * prod(b - a + 1 for a, b in zip(lo, hi))
         budget = data.draw(st.one_of(st.integers(0, 2 * needed), st.sampled_from([needed - 1, needed])))
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(wedge_module, "TABLE_BIT_BUDGET", budget)
@@ -338,9 +356,9 @@ class TestSubsetSumTable:
         assert all(a <= 0 <= b for a, b in zip(table.box_lo, table.box_hi))
 
     def test_digest_layout_beyond_the_budget_is_refused(self, monkeypatch):
-        # unit vectors at depth 4: a [0, 1]^4 box of 16 cells x 5 layers, a [0, 4]^4 digest layout
+        # unit vectors at depth 4: a [0, 1]^4 box of 16 cells x (5 + 2) layers, a [0, 4]^4 digest layout
         units = [tuple(int(i == j) for j in range(4)) for i in range(4)]
-        monkeypatch.setattr(wedge_module, "TABLE_BIT_BUDGET", 80)
+        monkeypatch.setattr(wedge_module, "TABLE_BIT_BUDGET", 112)
         table = SubsetSumTable(units, 4)
         assert table.total_cells == 16
         with pytest.raises(BudgetError, match="digest layout needs 625 cells"):
