@@ -24,13 +24,10 @@ from .geometry import (
     LinearFunctional,
     Point,
     PointConfig,
-    Polytope,
     apply_map,
     are_equivalent,
-    convex_hull_2d,
     exception_index,
     exceptional_triangle,
-    lattice_points_of_polytope,
     normal_form,
     remove_vertex,
     vertex_set,
@@ -64,19 +61,16 @@ __all__ = [
     "LinearFunctional",
     "Point",
     "PointConfig",
-    "Polytope",
     "SubsetSumTable",
     "TheoremReport",
     "apply_map",
     "are_equivalent",
     "build_colored_simplex",
     "check_lattice_convex",
-    "convex_hull_2d",
     "enumerate_lattice_convex",
     "exception_index",
     "exceptional_triangle",
     "is_p_good",
-    "lattice_points_of_polytope",
     "normal_form",
     "plane_coordinates",
     "quadrant_points_below",

@@ -3,13 +3,12 @@
 Everything here runs on plain Python integers: orientation predicates are
 exact cross products, polygon rows run between integer ceilings and floors
 of two envelopes, and divisions are floor divisions that are exact or
-rounded on purpose.  No floating point and no rationals anywhere.  Hulls,
-vertex sets and lattice point enumeration are planar (or one-dimensional);
+rounded on purpose.  No floating point and no rationals anywhere.  Vertex
+sets are planar or one-dimensional, normal forms and equivalences planar;
 dimension 3 has configurations, maps and determinants only.
 """
 
 import bisect
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Optional, Sequence
@@ -82,36 +81,6 @@ class PointConfig:
         if len(off) != self.dim:
             raise DimensionError("translation vector has wrong dimension")
         return PointConfig(self.dim, tuple(tuple(a + b for a, b in zip(p, off)) for p in self.points))
-
-
-@dataclass(frozen=True)
-class Polytope:
-    """Convex hull description.
-
-    For ``dim_intrinsic == 2`` the vertices run counterclockwise with no
-    three collinear; for 1 they are the two endpoints; for 0 a single point.
-    Ambient dimension 3 carries a plain vertex cloud.
-    """
-
-    dim_ambient: int
-    dim_intrinsic: int
-    vertices: tuple[Point, ...]
-
-    def __post_init__(self) -> None:
-        if not self.vertices or any(len(v) != self.dim_ambient for v in self.vertices):
-            raise ValueError("vertices must be nonempty and match the ambient dimension")
-        if len(set(self.vertices)) != len(self.vertices):
-            raise ValueError("vertices must be pairwise distinct")
-        if self.dim_intrinsic == 0 and len(self.vertices) != 1:
-            raise ValueError("a zero-dimensional polytope has exactly one vertex")
-        if self.dim_intrinsic == 1 and len(self.vertices) != 2:
-            raise ValueError("a segment has exactly two vertices")
-        if self.dim_intrinsic == 2:
-            ring = self.vertices
-            if len(ring) < 3 or any(
-                cross(ring[i - 2], ring[i - 1], ring[i]) <= 0 for i in range(len(ring))
-            ):
-                raise ValueError("two-dimensional vertices must turn strictly left, counterclockwise")
 
 
 @dataclass(frozen=True)
@@ -229,45 +198,6 @@ def _hull_ring(pts: Sequence[Point]) -> list[Point]:
     return _lower_chain(pts)[:-1] + _lower_chain(reversed(pts))[:-1]
 
 
-def convex_hull_2d(config: PointConfig) -> Polytope:
-    """Strict convex hull of a planar configuration via the monotone chain.
-
-    The result never keeps collinear hull points: a segment reports only its
-    endpoints, a polygon only its corners, in counterclockwise order.
-    """
-    if config.dim != 2:
-        raise DimensionError(f"convex_hull_2d needs dim 2, got dim {config.dim}")
-    pts = list(config.points)
-    if not pts:
-        raise ValueError("cannot take the hull of an empty configuration")
-    if len(pts) == 1:
-        return Polytope(2, 0, (pts[0],))
-    ring = _hull_ring(pts)
-    if len(ring) == 2:  # a collinear set's ring is its two endpoints
-        return Polytope(2, 1, (pts[0], pts[-1]))
-    return Polytope(2, 2, tuple(ring))
-
-
-def lattice_points_of_polytope(poly: Polytope) -> PointConfig:
-    """All integer points inside or on the polytope, for ambient dimension <= 2.
-
-    Planar hulls, segments and points alike, are scanned row by row from the
-    ceiling of the vertices' left envelope to the floor of their right one.
-    """
-    if poly.dim_ambient > 2:
-        raise DimensionError(f"lattice point enumeration is limited to ambient dimension <= 2, got {poly.dim_ambient}")
-    if poly.dim_ambient == 1:
-        xs = [v[0] for v in poly.vertices]
-        return PointConfig.of([(x,) for x in range(min(xs), max(xs) + 1)], dim=1)
-    rows = sorted((y, x) for x, y in poly.vertices)
-    # a dict keeps each key's last value: a row's greatest x, or its least from the reversed rows
-    lows = _ceil_envelope(sorted(dict(reversed(rows)).items()))
-    neg_highs = _ceil_envelope([(y, -x) for y, x in dict(rows).items()])
-    ranges = zip(itertools.count(rows[0][0]), lows, neg_highs)
-    out = [(x, y) for y, lo, neg_hi in ranges for x in range(lo, 1 - neg_hi)]
-    return PointConfig.of(out, dim=2)
-
-
 def _ceil_envelope(rows: Sequence[Point]) -> list[int]:
     """Ceiling of the lower convex envelope of (y, x) rows, y increasing, at every y.
 
@@ -294,7 +224,7 @@ def vertex_set(config: PointConfig) -> PointConfig:
     if config.dim == 1:
         lo, hi = config.points[0], config.points[-1]
         return PointConfig.of({lo, hi}, dim=1)
-    return PointConfig.of(convex_hull_2d(config).vertices, dim=2)
+    return PointConfig.of(_hull_ring(config.points) or config.points, dim=2)
 
 
 def remove_vertex(config: PointConfig, vertex: Sequence[int]) -> PointConfig:

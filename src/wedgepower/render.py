@@ -4,7 +4,7 @@ One lattice unit maps to a fixed pixel pitch and points are drawn in
 canonical order, so identical inputs produce byte-identical documents.
 """
 
-from .geometry import DimensionError, PointConfig, convex_hull_2d
+from .geometry import DimensionError, PointConfig, _hull_ring
 
 PITCH = 40
 MARGIN = 30
@@ -36,13 +36,11 @@ def render_svg(config: PointConfig, show_hull: bool = False) -> str:
         f'viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
     ]
-    if show_hull:
-        hull = convex_hull_2d(config)
-        corners = " ".join("{},{}".format(*pixel(v)) for v in hull.vertices)
-        if hull.dim_intrinsic == 2:
-            lines.append(f'<polygon points="{corners}" fill="none" stroke="black" stroke-width="2"/>')
-        elif hull.dim_intrinsic == 1:
-            lines.append(f'<polyline points="{corners}" fill="none" stroke="black" stroke-width="2"/>')
+    ring = _hull_ring(config.points) if show_hull else []
+    if ring:  # a single point's ring is empty, a collinear set's its two ends
+        shape = "polygon" if len(ring) > 2 else "polyline"
+        corners = " ".join("{},{}".format(*pixel(v)) for v in ring)
+        lines.append(f'<{shape} points="{corners}" fill="none" stroke="black" stroke-width="2"/>')
     for p in config:
         cx, cy = pixel(p)
         lines.append(f'<circle cx="{cx}" cy="{cy}" r="{DOT_RADIUS}" fill="black"/>')

@@ -44,7 +44,6 @@ from wedgepower import (
     DimensionError,
     PointConfig,
     apply_map,
-    convex_hull_2d,
     exceptional_triangle,
     remove_vertex,
     vertex_set,
@@ -161,12 +160,10 @@ def _segment_points(a, b):
 
 def tuple_hull_points(config):
     """Lattice points of conv(config) for a nonempty planar configuration."""
-    poly = convex_hull_2d(config)
-    if poly.dim_intrinsic == 0:
-        return PointConfig.of(poly.vertices, dim=2)
-    if poly.dim_intrinsic == 1:
-        return PointConfig.of(_segment_points(*poly.vertices), dim=2)
-    return fraction_polygon_lattice_points(poly.vertices)
+    ring = _hull_ring(config.points)
+    if len(ring) < 3:  # a single point, or a collinear set between its two ends
+        return PointConfig.of(_segment_points(config.points[0], config.points[-1]), dim=2)
+    return fraction_polygon_lattice_points(ring)
 
 
 def check_lattice_convex(config):

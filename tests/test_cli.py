@@ -296,6 +296,13 @@ class TestRenderCommand:
         assert "<polygon" not in out
         assert out.count("<circle") == 4
 
+    @pytest.mark.parametrize("name", ["exceptional-triangle-3", "single-point"])
+    def test_hull_prints_the_pinned_bytes(self, capsys, name):
+        # a polygon with points on its edges draws only its corners; a single point draws no hull
+        code, out, _ = run(capsys, "render", "--input", DATA / f"{name}.json", "--hull")
+        assert code == 0
+        assert out == (DATA / f"render-hull-{name}.svg").read_text()
+
     def test_collinear_hull_is_a_frozen_polyline(self, capsys, tmp_path):
         diagonal = tmp_path / "diagonal.json"
         diagonal.write_text('{"dim": 2, "points": [[0, 0], [1, 1], [2, 2]]}')

@@ -1,26 +1,27 @@
+import inspect
 import random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import wedgepower
 from wedgepower import (
     AffineUnimodularMap,
     DimensionError,
     PointConfig,
-    Polytope,
     apply_map,
     are_equivalent,
-    convex_hull_2d,
+    check_lattice_convex,
     exception_index,
     exceptional_triangle,
-    lattice_points_of_polytope,
     normal_form,
     remove_vertex,
     truncated_quadrant,
     vertex_set,
 )
-from wedgepower.geometry import _corner_form, cross
+from wedgepower.geometry import _corner_form, _hull_ring, cross
+from wedgepower.render import render_svg
 
 import oracles
 
@@ -38,6 +39,11 @@ def grid_config(n):
     return PointConfig.of([(x, y) for x in range(n) for y in range(n)])
 
 
+def hull_points(config):
+    """The lattice points of conv(config): the set and the points ``check_lattice_convex`` finds missing."""
+    return PointConfig.of([*config.points, *check_lattice_convex(config).missing.points], dim=config.dim)
+
+
 @st.composite
 def unimodular_maps(draw):
     """Identity after random row steps: add a multiple of another row, or negate a row."""
@@ -51,83 +57,71 @@ def unimodular_maps(draw):
 
 
 class TestConvexHull:
+    """The strict hull ring that vertex sets, frames and ``render --hull`` read."""
+
     def test_triangle_with_interior_point(self):
-        hull = convex_hull_2d(PointConfig.of(FIRST_EXCEPTION))
-        assert hull.dim_intrinsic == 2
-        assert set(hull.vertices) == {(-1, -1), (1, 0), (0, 1)}
-        assert (0, 0) not in hull.vertices
+        ring = _hull_ring(PointConfig.of(FIRST_EXCEPTION).points)
+        assert set(ring) == {(-1, -1), (1, 0), (0, 1)}
+        assert (0, 0) not in ring
 
     def test_ccw_and_strictly_convex(self):
-        hull = convex_hull_2d(PointConfig.of([(0, 0), (1, 0), (0, 1), (1, 1)]))
-        assert len(hull.vertices) == 4
-        ring = hull.vertices
+        ring = _hull_ring(PointConfig.of([(0, 0), (1, 0), (0, 1), (1, 1)]).points)
+        assert len(ring) == 4
         for i in range(len(ring)):
             assert cross(ring[i - 2], ring[i - 1], ring[i]) > 0
 
     def test_collinear_input_gives_segment(self):
-        hull = convex_hull_2d(PointConfig.of([(0, 0), (1, 0), (2, 0)]))
-        assert hull.dim_intrinsic == 1
-        assert set(hull.vertices) == {(0, 0), (2, 0)}
+        assert _hull_ring(PointConfig.of([(0, 0), (1, 0), (2, 0)]).points) == [(0, 0), (2, 0)]
 
     def test_single_point(self):
-        hull = convex_hull_2d(PointConfig.of([(5, -3)]))
-        assert hull.dim_intrinsic == 0
-        assert hull.vertices == ((5, -3),)
+        assert _hull_ring(PointConfig.of([(5, -3)]).points) == []
 
     def test_wrong_dimension_rejected(self):
+        # the ring's public callers refuse non-planar sets
+        solid = PointConfig.of([(1, 2, 3)])
         with pytest.raises(DimensionError):
-            convex_hull_2d(PointConfig.of([(1, 2, 3)]))
+            vertex_set(solid)
+        with pytest.raises(DimensionError):
+            render_svg(solid, show_hull=True)
 
     @given(planar_points)
     def test_ring_is_always_strictly_convex(self, raw):
-        hull = convex_hull_2d(PointConfig.of(raw))
-        ring = hull.vertices
+        ring = _hull_ring(PointConfig.of(raw).points)
         assert len(set(ring)) == len(ring)
-        if hull.dim_intrinsic == 2:
+        if len(ring) > 2:
             for i in range(len(ring)):
                 assert cross(ring[i - 2], ring[i - 1], ring[i]) > 0
 
 
 class TestLatticePoints:
+    """A hull's lattice points, read as the set plus what ``check_lattice_convex`` finds missing."""
+
     def test_third_exceptional_triangle(self):
-        hull = convex_hull_2d(PointConfig.of([(0, 1), (3, 0), (-1, -1)]))
-        pts = lattice_points_of_polytope(hull)
+        pts = hull_points(PointConfig.of([(0, 1), (3, 0), (-1, -1)]))
         assert pts.points == tuple(
             sorted([(0, 1), (3, 0), (-1, -1), (0, 0), (1, 0), (2, 0)])
         )
 
     def test_segment(self):
-        hull = convex_hull_2d(PointConfig.of([(0, 0), (3, 0)]))
-        assert lattice_points_of_polytope(hull).points == ((0, 0), (1, 0), (2, 0), (3, 0))
+        assert hull_points(PointConfig.of([(0, 0), (3, 0)])).points == ((0, 0), (1, 0), (2, 0), (3, 0))
 
     def test_unit_triangle(self):
-        hull = convex_hull_2d(PointConfig.of([(0, 0), (1, 0), (0, 1)]))
-        assert len(lattice_points_of_polytope(hull)) == 3
-
-    def test_one_dimensional_segment_and_point(self):
-        segment = Polytope(1, 1, ((4,), (-1,)))
-        assert lattice_points_of_polytope(segment).points == tuple((x,) for x in range(-1, 5))
-        assert lattice_points_of_polytope(Polytope(1, 0, ((7,),))) == PointConfig.of([(7,)])
-
-    def test_dim3_rejected(self):
-        poly = Polytope(3, 3, ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)))
-        with pytest.raises(DimensionError):
-            lattice_points_of_polytope(poly)
+        assert len(hull_points(PointConfig.of([(0, 0), (1, 0), (0, 1)]))) == 3
 
     @given(planar_points)
     def test_matches_brute_force(self, raw):
-        hull = convex_hull_2d(PointConfig.of(raw))
-        assert list(lattice_points_of_polytope(hull)) == oracles.hull_lattice_points(raw)
+        assert list(hull_points(PointConfig.of(raw))) == oracles.hull_lattice_points(raw)
 
     @given(
         st.tuples(st.integers(-10**9, 10**9), st.integers(-10**9, 10**9)),
         st.lists(st.tuples(st.integers(-30, 30), st.integers(-30, 30)), min_size=3, max_size=7),
     )
     def test_integer_rows_match_fraction_rows(self, corner, raw):
-        hull = convex_hull_2d(PointConfig.of((corner[0] + x, corner[1] + y) for x, y in raw))
-        if hull.dim_intrinsic == 2:
-            expected = oracles.fraction_polygon_lattice_points(hull.vertices)
-            assert lattice_points_of_polytope(hull) == expected
+        # far from the origin: check_lattice_convex moves the set to its minimum corner first
+        ring = _hull_ring(PointConfig.of((corner[0] + x, corner[1] + y) for x, y in raw).points)
+        if len(ring) > 2:
+            expected = oracles.fraction_polygon_lattice_points(ring)
+            assert hull_points(PointConfig.of(ring)) == expected
 
 
 class TestMembership:
@@ -283,9 +277,7 @@ class TestExceptionIndex:
         assert exception_index(PointConfig.of(FIRST_EXCEPTION)) == 1
 
     def test_fourth(self):
-        pts = lattice_points_of_polytope(
-            convex_hull_2d(PointConfig.of([(0, 1), (4, 0), (-1, -1)]))
-        )
+        pts = PointConfig.of(oracles.hull_lattice_points([(0, 1), (4, 0), (-1, -1)]))
         assert len(pts) == 7
         assert exception_index(pts) == 4
 
@@ -295,7 +287,7 @@ class TestExceptionIndex:
     @pytest.mark.parametrize("k", range(1, 21))
     def test_closed_form_is_the_hull_lattice_points(self, k):
         corners = PointConfig.of([(0, 1), (k, 0), (-1, -1)])
-        assert exceptional_triangle(k) == lattice_points_of_polytope(convex_hull_2d(corners))
+        assert exceptional_triangle(k) == hull_points(corners)
 
     def test_detected_through_random_maps(self):
         rng = random.Random(99)
@@ -370,18 +362,18 @@ class TestPointInHull:
         wedge = PointConfig.of([(-1, -1), (-1, 0), (0, -1), (0, 1), (1, 0), (1, 1)])
         assert (0, 0) not in wedge
         assert oracles.hull_membership((0, 0), wedge.points)
-        assert (0, 0) in lattice_points_of_polytope(convex_hull_2d(wedge))
+        assert check_lattice_convex(wedge).missing.points == ((0, 0),)
 
     def test_outside_bounding_box(self):
         wedge = PointConfig.of([(-1, -1), (-1, 0), (0, -1), (0, 1), (1, 0), (1, 1)])
         assert not oracles.hull_membership((2, 0), wedge.points)
-        assert (2, 0) not in lattice_points_of_polytope(convex_hull_2d(wedge))
+        assert (2, 0) not in hull_points(wedge)
 
     @given(planar_points, st.tuples(st.integers(-5, 5), st.integers(-5, 5)))
     def test_agrees_with_brute_force_in_2d(self, raw, query):
         # for lattice queries, membership is the hull's lattice point enumeration
         config = PointConfig.of(raw)
-        inside = query in lattice_points_of_polytope(convex_hull_2d(config))
+        inside = query in hull_points(config)
         assert inside == oracles.hull_membership(query, raw)
 
 
@@ -389,8 +381,9 @@ class TestInvariants:
     @given(planar_points)
     def test_hull_idempotence(self, raw):
         config = PointConfig.of(raw)
-        closure = lattice_points_of_polytope(convex_hull_2d(config))
+        closure = hull_points(config)
         assert set(config).issubset(set(closure))
+        assert check_lattice_convex(closure).convex
         # equality exactly when the configuration is lattice-convex
         assert (closure == config) == oracles.is_lattice_convex(raw)
 
@@ -410,3 +403,24 @@ class TestInvariants:
         config = PointConfig.of([(0, 0), (big, 1), (-big, 1)])
         assert vertex_set(config) == config
         assert config.total() == (0, 2)
+
+
+class TestPublicSurface:
+    # the package's public names, pinned: one joining or leaving is a public change
+    EXPORTED = (
+        "AffineUnimodularMap", "BudgetError", "ColoredSimplex", "ConvexityReport", "DimensionError",
+        "GridSpec", "LinearFunctional", "Point", "PointConfig", "SubsetSumTable", "TheoremReport",
+        "apply_map", "are_equivalent", "build_colored_simplex", "check_lattice_convex",
+        "enumerate_lattice_convex", "exception_index", "exceptional_triangle", "is_p_good",
+        "normal_form", "plane_coordinates", "quadrant_points_below", "reflect_complement",
+        "remove_vertex", "truncated_quadrant", "union_decomposition_holds", "verify_corner_cut",
+        "verify_counterexample", "verify_grid", "verify_polygon", "vertex_set", "wedge_power",
+        "witness_point",
+    )
+
+    def test_every_exported_name_resolves(self):
+        assert sorted(wedgepower.__all__) == sorted(self.EXPORTED)
+        for name in wedgepower.__all__:
+            assert getattr(wedgepower, name) is not None
+        public = {n for n, v in vars(wedgepower).items() if not n.startswith("_") and not inspect.ismodule(v)}
+        assert public == set(wedgepower.__all__)

@@ -16,9 +16,9 @@ from wedgepower import (
     SubsetSumTable,
     apply_map,
     check_lattice_convex,
-    convex_hull_2d,
     exceptional_triangle,
     reflect_complement,
+    vertex_set,
     wedge_power,
 )
 
@@ -99,9 +99,7 @@ class TestWedgePower:
     @given(small_configs, st.integers(1, 8))
     def test_contained_in_dilated_hull(self, config, size):
         size = min(size, len(config))
-        dilated = PointConfig.of(
-            [tuple(size * c for c in v) for v in convex_hull_2d(config).vertices]
-        )
+        dilated = PointConfig.of([tuple(size * c for c in v) for v in vertex_set(config)])
         for point in wedge_power(config, size):
             assert oracles.hull_membership(point, dilated.points)
 
