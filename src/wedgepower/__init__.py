@@ -45,7 +45,6 @@ from .wedge import (
     ConvexityReport,
     SubsetSumTable,
     check_lattice_convex,
-    reflect_complement,
     wedge_power,
 )
 
@@ -74,7 +73,6 @@ __all__ = [
     "normal_form",
     "plane_coordinates",
     "quadrant_points_below",
-    "reflect_complement",
     "remove_vertex",
     "truncated_quadrant",
     "union_decomposition_holds",

@@ -58,7 +58,7 @@ def _cmd_wedge(args: argparse.Namespace) -> int:
             f"note: no subsets of size {args.p} in a {len(config)}-point set; emitting the empty set",
             file=sys.stderr,
         )
-    result = wedge_power(config, args.p, method=args.method)
+    result = wedge_power(config, args.p)
     payload = config_to_json(result)
     payload["in_range"] = in_range  # extra key, ignored when read back as a configuration
     _write(dumps(payload), args.output)
@@ -154,7 +154,6 @@ def build_parser() -> _Parser:
 
     p = add("wedge", _cmd_wedge, help="sums of all fixed-size subsets")
     p.add_argument("-p", type=int, required=True, help="subset size")
-    p.add_argument("--method", choices=("dp", "naive"), default="dp")
 
     add("check-convex", _cmd_check_convex, help="is the set the lattice points of its hull")
 

@@ -260,7 +260,7 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def _frames(config: PointConfig, ring_only: bool = False) -> list[tuple[list[Point], tuple[Point, Point], Point]]:
+def _frames(config: PointConfig, ring_only: bool = False) -> Iterator[tuple[list[Point], tuple[Point, Point], Point]]:
     """The canonical lattice maps of a planar set, each as (sorted image, matrix, translation).
 
     The image is of the whole set, or with ``ring_only`` of its strict hull
@@ -274,16 +274,17 @@ def _frames(config: PointConfig, ring_only: bool = False) -> list[tuple[list[Poi
     origin.  These rules fix each frame, so if M carries one set onto another,
     F composed with M's inverse is a frame of the other set with F's image for
     every frame F of the first: frames with equal images give every equivalence.
+    Frames are yielded one at a time, so a least image holds two, not all.
     """
     pts = config.points
     if len(pts) < 2:
-        return [([(0, 0)], ((1, 0), (0, 1)), (-x, -y)) for x, y in pts]
+        yield from (([(0, 0)], ((1, 0), (0, 1)), (-x, -y)) for x, y in pts)
+        return
     ring = _hull_ring(pts)
     if len(ring) == 2:  # the far frame is the near one followed by x -> span - x
         corners = [(0, 1), (1, -1)]
     else:
         corners = [(i, turn) for i in range(len(ring)) for turn in (1, -1)]
-    frames = []
     for i, turn in corners:
         (vx, vy), (ax, ay), (bx, by) = ring[i], ring[(i + turn) % len(ring)], ring[(i - turn) % len(ring)]
         g, s, t = _xgcd(ax - vx, ay - vy)
@@ -296,8 +297,7 @@ def _frames(config: PointConfig, ring_only: bool = False) -> list[tuple[list[Poi
             s, t = s + k * ux, t + k * uy
         cx, cy = -s * vx - t * vy, -ux * vx - uy * vy
         image = sorted((s * x + t * y + cx, ux * x + uy * y + cy) for x, y in (ring if ring_only else pts))
-        frames.append((image, ((s, t), (ux, uy)), (cx, cy)))
-    return frames
+        yield image, ((s, t), (ux, uy)), (cx, cy)
 
 
 def are_equivalent(source: PointConfig, target: PointConfig) -> Optional[AffineUnimodularMap]:
@@ -312,7 +312,7 @@ def are_equivalent(source: PointConfig, target: PointConfig) -> Optional[AffineU
         raise DimensionError("equivalence is decided for planar configurations")
     if len(source) != len(target) or len(source) == 0:
         return None
-    image, *frame = _frames(source)[0]
+    image, *frame = next(_frames(source))
     first = AffineUnimodularMap(*frame)
     maps = [
         AffineUnimodularMap(*other).inverse().compose(first) for found, *other in _frames(target) if found == image

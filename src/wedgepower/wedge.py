@@ -11,8 +11,7 @@ the order does not change it, but a shift costs time linear in the length
 of the integer it makes, and small offsets first keep every layer short
 until the last points.  A table asked for a single layer d (the 3D witness,
 ``wedge_power``) updates layer c only while c >= d - (points still to
-feed), since no lower layer can still reach d.  A naive oracle that walks
-all C(N, p) subsets backs it up at small sizes.
+feed), since no lower layer can still reach d.
 
 numpy is imported only by ``coords`` and ``digest``, which only the 3D
 witness calls: every other reader of points, ``points_at`` and wedge powers
@@ -24,7 +23,7 @@ import hashlib
 import itertools
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from math import comb, prod
+from math import prod
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from .geometry import BudgetError, DimensionError, Point, PointConfig, _ceil_envelope
@@ -32,7 +31,6 @@ from .geometry import BudgetError, DimensionError, Point, PointConfig, _ceil_env
 if TYPE_CHECKING:
     import numpy as np
 
-NAIVE_SUBSET_LIMIT = 10_000_000
 TABLE_BIT_BUDGET = 1 << 33  # cells times charged layers of one SubsetSumTable: 1 GiB of bitsets
 _DIGEST_CHUNK = 1 << 16  # bytes of a digest's layout hashed at a time
 _SET_BITS = tuple(tuple(i for i in range(8) if byte >> i & 1) for byte in range(256))
@@ -282,33 +280,16 @@ class SubsetSumTable:
         return h.hexdigest()
 
 
-def wedge_power(base: PointConfig, subset_size: int, method: str = "dp") -> PointConfig:
+def wedge_power(base: PointConfig, subset_size: int) -> PointConfig:
     """The set of sums of all ``subset_size``-element subsets of ``base``.
 
     Out-of-range sizes give the empty configuration (there are no such
-    subsets); size 0 gives the origin, the empty sum.  The two methods are
-    interchangeable: "dp" runs the layered bitset table, "naive" enumerates
-    subsets directly and refuses beyond NAIVE_SUBSET_LIMIT of them.
+    subsets); size 0 gives the origin, the empty sum.
     """
     if not 0 <= subset_size <= len(base):
         return PointConfig.of([], dim=base.dim)
-    if method == "dp":
-        table = SubsetSumTable(base.points, subset_size, dim=base.dim, _one_layer=True)
-        return PointConfig.of(table.points_at(subset_size), dim=base.dim)
-    if method == "naive":
-        n_subsets = comb(len(base), subset_size)
-        if n_subsets > NAIVE_SUBSET_LIMIT:
-            raise BudgetError(
-                f"naive method would enumerate {n_subsets} subsets "
-                f"(limit {NAIVE_SUBSET_LIMIT}); use method='dp'"
-            )
-        zero = (0,) * base.dim
-        sums = {
-            tuple(map(sum, zip(zero, *combo)))
-            for combo in itertools.combinations(base.points, subset_size)
-        }
-        return PointConfig.of(sums, dim=base.dim)
-    raise ValueError(f"unknown method {method!r}, expected 'dp' or 'naive'")
+    table = SubsetSumTable(base.points, subset_size, dim=base.dim, _one_layer=True)
+    return PointConfig.of(table.points_at(subset_size), dim=base.dim)
 
 
 @dataclass(frozen=True)
@@ -374,15 +355,6 @@ def check_lattice_convex(config: PointConfig) -> ConvexityReport:
     moved = config.translate(tuple(-c for c in corner))
     report = SubsetSumTable(moved.points, 1, dim=config.dim).check_convex(1)
     return ConvexityReport(report.convex, report.missing.translate(corner), report.cardinality)
-
-
-def reflect_complement(base: PointConfig, subset_size: int) -> PointConfig:
-    """Sums of (N - size)-subsets, computed by reflecting the size-subsets.
-
-    Choosing which points to leave out instead of which to keep reflects
-    every sum through the total of the whole configuration.
-    """
-    return _reflect(wedge_power(base, subset_size), base.total())
 
 
 def _reflect(config: PointConfig, pivot: Point) -> PointConfig:

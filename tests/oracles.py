@@ -115,6 +115,11 @@ def naive_wedge(points, size):
     }
 
 
+def naive_wedge_power(config, size):
+    """``wedge_power`` by subset enumeration: the sorted configuration of ``naive_wedge``."""
+    return PointConfig.of(naive_wedge(config.points, size), dim=config.dim)
+
+
 def random_unimodular(rng: random.Random, radius: int = 3, shift: int = 4) -> AffineUnimodularMap:
     """Rejection-sample a 2x2 integer matrix with determinant +-1."""
     while True:

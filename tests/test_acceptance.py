@@ -20,7 +20,6 @@ from wedgepower import (
     enumerate_lattice_convex,
     is_p_good,
     quadrant_points_below,
-    reflect_complement,
     verify_corner_cut,
     verify_counterexample,
     verify_grid,
@@ -28,6 +27,9 @@ from wedgepower import (
     wedge_power,
     witness_point,
 )
+from wedgepower.wedge import _reflect
+
+import oracles
 
 GRIDS = (GridSpec(2, 2), GridSpec(3, 2))
 
@@ -100,9 +102,9 @@ def test_criterion_3_dp_naive_agreement_and_complement():
         config = PointConfig.of(pts, dim=dim)
         n = len(config)
         for p in range(n + 1):
-            fast = wedge_power(config, p, "dp")
-            assert fast == wedge_power(config, p, "naive")
-            assert reflect_complement(config, n - p) == fast
+            fast = wedge_power(config, p)
+            assert fast == oracles.naive_wedge_power(config, p)
+            assert _reflect(wedge_power(config, n - p), config.total()) == fast
             checked += 1
     elapsed = time.perf_counter() - start
     assert elapsed < 120.0
@@ -139,7 +141,7 @@ def test_criterion_5_collinear_counts():
             # distinct sums of p points of {0..n-1} number p(n-p)+1, far
             # fewer than the C(n, p) subsets that produce them
             assert len(wedge) == p * (n - p) + 1
-            assert wedge == wedge_power(config, p, "naive")
+            assert wedge == oracles.naive_wedge_power(config, p)
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0
     _report(5, elapsed, "collinear wedge sizes match p(N-p)+1 for N up to 10")

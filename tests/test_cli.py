@@ -36,8 +36,7 @@ def run(capsys, *argv):
 class TestWedgeCommand:
     def test_pair_sums_and_convexity_pipeline(self, capsys, tmp_path, e1_file):
         out_path = tmp_path / "w2.json"
-        code, _, _ = run(capsys, "wedge", "--input", e1_file, "-p", "2",
-                         "--method", "naive", "--output", out_path)
+        code, _, _ = run(capsys, "wedge", "--input", e1_file, "-p", "2", "--output", out_path)
         assert code == 0
         payload = json.loads(out_path.read_text())
         assert payload == {
@@ -71,12 +70,11 @@ class TestWedgeCommand:
         assert code == 0
         assert out == (DATA / "wedge-truncated-quadrant-8-p40.json").read_text()
 
-    def test_naive_budget_exceeded(self, capsys, tmp_path):
-        big = tmp_path / "big.json"
-        big.write_text(json.dumps({"dim": 2, "points": [[i, 0] for i in range(30)]}))
-        code, _, err = run(capsys, "wedge", "--input", big, "-p", "15", "--method", "naive")
-        assert code == 1
-        assert "limit" in err
+    def test_method_flag_is_a_usage_error(self, capsys, e1_file):
+        # bitset tables are the one way to a wedge power; there is no method to choose
+        code, out, err = run(capsys, "wedge", "--input", e1_file, "-p", "2", "--method", "naive")
+        assert (code, out) == (1, "")
+        assert "--method" in err
 
     def test_table_budget_exceeded(self, capsys, tmp_path):
         far = tmp_path / "far.json"
@@ -264,6 +262,14 @@ class TestEquivalentCommand:
             '{\n  "equivalent": true,\n  "map": {\n    "matrix": [\n      [1, 1],\n'
             '      [1, 0]\n    ],\n    "translation": [3, -2]\n  }\n}\n'
         )
+
+    def test_equivalent_prints_the_pinned_bytes(self, capsys):
+        # the image is the triangle under x -> ((2, 1), (1, 1)) x + (5, -3); the expected
+        # file was written when every frame's image was held in one list
+        code, out, _ = run(capsys, "equivalent", "--input", DATA / "exceptional-triangle-3.json",
+                           "--input", DATA / "exceptional-triangle-3-image.json")
+        assert code == 0
+        assert out == (DATA / "equivalent-exceptional-triangle-3.json").read_text()
 
     def test_large_inequivalent_triangles(self, capsys, tmp_path):
         # 120 points and three corners each, but no map between them

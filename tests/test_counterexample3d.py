@@ -111,7 +111,7 @@ class TestPlaneCoordinates:
     def test_coordinates_are_unimodular(self, simplex):
         # lattice distances within the plane survive the chart: pair sums agree
         planar = plane_coordinates(simplex.on_level)
-        planar_wedge = wedge_power(planar, 2, "naive")
+        planar_wedge = oracles.naive_wedge(planar.points, 2)
         spatial_wedge = oracles.naive_wedge(simplex.on_level.points, 2)
         assert len(planar_wedge) == len(spatial_wedge) == 6
 
@@ -197,7 +197,7 @@ class TestMediumScaleTable:
         config = PointConfig.of(pts)
         assert len(config) == 10
         for size in (0, 1, 3, 5, 9, 10):
-            assert wedge_power(config, size, "dp") == wedge_power(config, size, "naive")
+            assert wedge_power(config, size) == oracles.naive_wedge_power(config, size)
 
     def test_table_rebuild_reproduces_the_digest(self):
         pts = [(x, y, z) for x in range(3) for y in range(3 - x) for z in range(3 - x - y)]

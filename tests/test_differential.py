@@ -53,7 +53,6 @@ from wedgepower import (
     exceptional_triangle,
     is_p_good,
     normal_form,
-    reflect_complement,
     truncated_quadrant,
     union_decomposition_holds,
     verify_grid,
@@ -61,7 +60,7 @@ from wedgepower import (
     wedge_power,
 )
 from wedgepower import geometry, harness
-from wedgepower.wedge import hull_fill
+from wedgepower.wedge import _reflect, hull_fill
 
 import oracles
 
@@ -569,7 +568,7 @@ def _assert_half_depth_matches(config):
     # missing lists hold at most one point each, so re-sorting shows only here
     n = len(config)
     for p in range(n // 2 + 1):
-        assert reflect_complement(config, p) == wedge_power(config, n - p), (config, p)
+        assert _reflect(wedge_power(config, p), config.total()) == wedge_power(config, n - p), (config, p)
 
 
 def test_half_depth_examination_matches_full_depth_on_every_orbit(orbit_representatives):

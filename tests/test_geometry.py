@@ -1,5 +1,6 @@
 import inspect
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -322,6 +323,19 @@ class TestNormalForm:
         with pytest.raises(DimensionError):
             normal_form(PointConfig.of([(0,) * dim, (1,) * dim]))
 
+    def test_frames_are_not_held_at_once(self):
+        # every point of the parabola is a hull corner: 400 frames of 200 points each,
+        # about 9 MB if they were all held together
+        parabola = PointConfig.of([(x, x * x) for x in range(200)])
+        tracemalloc.start()
+        try:
+            form = normal_form(parabola)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(form) == 200
+        assert peak < 1 << 20
+
 
 class TestCornerForm:
     """The private grouping key of grid runs: a normal form of the hull corners alone."""
@@ -412,8 +426,8 @@ class TestPublicSurface:
         "GridSpec", "LinearFunctional", "Point", "PointConfig", "SubsetSumTable", "TheoremReport",
         "apply_map", "are_equivalent", "build_colored_simplex", "check_lattice_convex",
         "enumerate_lattice_convex", "exception_index", "exceptional_triangle", "is_p_good",
-        "normal_form", "plane_coordinates", "quadrant_points_below", "reflect_complement",
-        "remove_vertex", "truncated_quadrant", "union_decomposition_holds", "verify_corner_cut",
+        "normal_form", "plane_coordinates", "quadrant_points_below", "remove_vertex",
+        "truncated_quadrant", "union_decomposition_holds", "verify_corner_cut",
         "verify_counterexample", "verify_grid", "verify_polygon", "vertex_set", "wedge_power",
         "witness_point",
     )

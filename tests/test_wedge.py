@@ -17,12 +17,12 @@ from wedgepower import (
     apply_map,
     check_lattice_convex,
     exceptional_triangle,
-    reflect_complement,
     vertex_set,
     wedge_power,
 )
 
 import wedgepower.wedge as wedge_module
+from wedgepower.wedge import _reflect
 
 import oracles
 
@@ -64,20 +64,11 @@ class TestWedgePower:
         assert len(wedge_power(config, -1)) == 0
         assert wedge_power(config, 3).dim == 2
 
-    def test_naive_budget_guard(self):
-        config = PointConfig.of([(i, 0) for i in range(30)])
-        with pytest.raises(BudgetError):
-            wedge_power(config, 15, method="naive")
-
-    def test_unknown_method(self):
-        with pytest.raises(ValueError):
-            wedge_power(PointConfig.of([(0, 0)]), 1, method="magic")
-
     @given(small_configs, st.integers(0, 8))
     def test_dp_matches_naive(self, config, size):
         if size > len(config):
             size = len(config)
-        assert wedge_power(config, size, "dp") == wedge_power(config, size, "naive")
+        assert wedge_power(config, size) == oracles.naive_wedge_power(config, size)
 
     def test_dp_matches_naive_in_dim_1_and_3(self):
         rng = random.Random(11)
@@ -89,12 +80,12 @@ class TestWedgePower:
                 }
                 config = PointConfig.of(pts, dim=dim)
                 for size in range(len(config) + 1):
-                    assert wedge_power(config, size, "dp") == wedge_power(config, size, "naive")
+                    assert wedge_power(config, size) == oracles.naive_wedge_power(config, size)
 
     @given(small_configs, st.integers(0, 8))
     def test_complement_identity(self, config, size):
         size = min(size, len(config))
-        assert reflect_complement(config, size) == wedge_power(config, len(config) - size)
+        assert _reflect(wedge_power(config, size), config.total()) == wedge_power(config, len(config) - size)
 
     @given(small_configs, st.integers(1, 8))
     def test_contained_in_dilated_hull(self, config, size):
@@ -124,7 +115,7 @@ class TestConvexityCheck:
         base = exceptional_triangle(3)
         assert len(base) == 6
         wedge = wedge_power(base, 3)
-        assert wedge == wedge_power(base, 3, "naive")
+        assert wedge == oracles.naive_wedge_power(base, 3)
         report = check_lattice_convex(wedge)
         assert report.convex
         assert report.cardinality == 18
@@ -194,18 +185,18 @@ class TestReflectComplement:
     def test_first_exception_is_self_complementary(self):
         base = exceptional_triangle(1)
         assert base.total() == (0, 0)
-        reflected = reflect_complement(base, 2)
+        reflected = _reflect(wedge_power(base, 2), base.total())
         wedge = wedge_power(base, 2)
         assert reflected == wedge  # N - p == p and the set is symmetric about the origin
         assert set(reflected) == {tuple(-c for c in p) for p in wedge}
 
     def test_size_zero_reflects_to_total(self):
         config = PointConfig.of([(1, 2), (3, 4), (0, -5)])
-        assert reflect_complement(config, 0).points == (config.total(),)
+        assert _reflect(wedge_power(config, 0), config.total()).points == (config.total(),)
 
     def test_square_singles_reflect_to_triples(self):
         square = PointConfig.of([(0, 0), (1, 0), (0, 1), (1, 1)])
-        reflected = reflect_complement(square, 1)
+        reflected = _reflect(wedge_power(square, 1), square.total())
         assert len(reflected) == 4
         assert reflected == wedge_power(square, 3)
 
