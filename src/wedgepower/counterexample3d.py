@@ -155,8 +155,6 @@ def verify_counterexample(simplex: Optional[ColoredSimplex] = None) -> Counterex
     (low sum plus each pair from the outer on-level triple), and that
     identity is checked in exact integers.
     """
-    import numpy as np
-
     if simplex is None:
         simplex = build_colored_simplex()
     table = SubsetSumTable(simplex.points.points, WEDGE_DEPTH, _one_layer=True)
@@ -175,11 +173,7 @@ def verify_counterexample(simplex: Optional[ColoredSimplex] = None) -> Counterex
     combined = tuple(sum(cs) for cs in zip(*generators))
     in_hull = combined == tuple(3 * c for c in witness)
 
-    coords = table.coords(WEDGE_DEPTH)
-    values = coords @ np.asarray(functional.coeffs, dtype=np.int64)
-    min_level = int(values.min())
-    slice_rows = coords[values == min_level]
-    slice_points = tuple(sorted(tuple(int(c) for c in row) for row in slice_rows))
+    min_level, slice_points = _lowest_level(table, WEDGE_DEPTH, functional.coeffs)
 
     return Counterexample3DReport(
         counts=(len(simplex.low), len(simplex.high), len(simplex.on_level)),
@@ -190,8 +184,40 @@ def verify_counterexample(simplex: Optional[ColoredSimplex] = None) -> Counterex
         slice_points=slice_points,
         min_level_attained=min_level,
         witness_level=functional(witness),
-        digest=table.digest(WEDGE_DEPTH, coords),
+        digest=table.digest(WEDGE_DEPTH),
     )
+
+
+def _lowest_level(table: SubsetSumTable, size: int, coeffs: Sequence[int]) -> tuple[int, tuple[Point, ...]]:
+    """The least value of ``coeffs`` . p over the sums p in one layer, and every sum attaining it, sorted.
+
+    The layer of a table of dimension 2 or 3 is read as its bit grid, one
+    slice along the last coordinate at a time: a slice's values are one
+    array, the other coordinates' part of the form, plus the last
+    coordinate's term.  No array of coordinates, or of values over the
+    whole box, is built.  An empty layer raises ValueError.
+    """
+    import numpy as np
+
+    grid = table._grid(table.layer(size))
+    lo, coeffs = table.box_lo[::-1], tuple(coeffs)[::-1]  # last coordinate first, as the grid
+    # the form on one slice, less the last coordinate's term: a sum of one open grid per other axis
+    terms = (np.arange(b, b + n, dtype=np.int64) * a for n, b, a in zip(grid.shape[1:], lo[1:], coeffs[1:]))
+    plane = sum(np.ix_(*terms))
+    best, found = None, []
+    for index, cells in enumerate(grid):
+        if not cells.any():
+            continue
+        last = index + lo[0]
+        level = int(plane.min(where=cells, initial=np.iinfo(np.int64).max)) + coeffs[0] * last
+        if best is None or level < best:
+            best, found = level, []
+        if level == best:
+            at_level = np.argwhere(cells & (plane == level - coeffs[0] * last)) + lo[1:]
+            found.extend((last, *rest) for rest in at_level.tolist())
+    if best is None:
+        raise ValueError(f"layer {size} is empty")
+    return best, tuple(sorted(tuple(reversed(p)) for p in found))
 
 
 def quadrant_points_below(functional: LinearFunctional, cap: int) -> PointConfig:

@@ -13,17 +13,19 @@ until the last points.  A table asked for a single layer d (the 3D witness,
 ``wedge_power``) updates layer c only while c >= d - (points still to
 feed), since no lower layer can still reach d.
 
-numpy is imported only by ``coords`` and ``digest``, which only the 3D
-witness calls: every other reader of points, ``points_at`` and wedge powers
-included, goes through the pure-Python ``points_of`` and never pays for its
-import.
+numpy is imported only by the readers of ``_grid``, a layer unpacked into
+one boolean array over the box: ``coords``, ``digest`` and the 3D witness.
+Only ``coords`` turns it into coordinates; the digest and the witness read
+the bit grid itself.  Every other reader of points, ``points_at`` and wedge
+powers included, goes through the pure-Python ``points_of`` and never pays
+for the import.
 """
 
 import hashlib
 import itertools
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from math import prod
+from math import gcd, prod
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from .geometry import BudgetError, DimensionError, Point, PointConfig, _ceil_envelope
@@ -167,6 +169,8 @@ class SubsetSumTable:
         """Is ``point`` a sum of exactly ``size`` distinct input points?"""
         layer = self.layer(size)
         pt = tuple(point)
+        if len(pt) != self.dim:
+            raise DimensionError(f"point {pt} has dimension {len(pt)}, the table has dimension {self.dim}")
         return self._in_box(pt) and bool((layer >> self._flatten(pt)) & 1)
 
     def count(self, size: int) -> int:
@@ -226,34 +230,34 @@ class SubsetSumTable:
         return points
 
     def coords(self, size: int) -> "np.ndarray":
-        """All sums of ``size`` distinct points as an (n, dim) int64 array."""
-        return self._unpack(self.layer(size))
-
-    def _unpack(self, layer: int) -> "np.ndarray":
+        """All sums of ``size`` distinct points as an (n, dim) int64 array, in flat order."""
         import numpy as np
 
-        nbytes = (self.total_cells + 7) // 8
-        raw = layer.to_bytes(nbytes, "little")
-        bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
-        flat = np.flatnonzero(bits[: self.total_cells]).astype(np.int64)
-        out = np.empty((flat.size, self.dim), dtype=np.int64)
-        for d in range(self.dim - 1, -1, -1):
-            out[:, d], flat = np.divmod(flat, self._strides[d])
-        for d in range(self.dim):
-            out[:, d] += self.box_lo[d]
-        return out
+        return np.argwhere(self._grid(self.layer(size)))[:, ::-1] + np.asarray(self.box_lo, dtype=np.int64)
+
+    def _grid(self, layer: int) -> "np.ndarray":
+        """A bitset in this box as a bool array indexed last coordinate first: ``grid[z, y, x]`` in 3D."""
+        import numpy as np
+
+        raw = layer.to_bytes((self.total_cells + 7) // 8, "little")
+        bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=self.total_cells, bitorder="little")
+        return bits.view(bool).reshape(self._shape[::-1])
 
     def points_at(self, size: int) -> list[Point]:
         return self.points_of(self.layer(size))
 
-    def digest(self, size: int, coords: Optional["np.ndarray"] = None) -> str:
+    def digest(self, size: int) -> str:
         """Stable fingerprint of one layer, for regression comparisons.
 
         The layer is hashed as laid out in the digest box, each coordinate
         [min(0, depth * lo), max(0, depth * hi)] for its input range [lo, hi]
         (a derived table keeps the digest box of the table it grew from), so
-        fingerprints do not depend on the box the table is built in.
-        ``coords`` may pass the layer's already extracted ``coords(size)``.
+        fingerprints do not depend on the box the table is built in.  The
+        layout is built and hashed one slab of planes along the last
+        coordinate at a time: the layer's bit grid is copied into the slab at
+        the table box's offset inside the digest box.  A slab is a whole
+        number of bytes, about _DIGEST_CHUNK of them, and never fewer than
+        the 8 / gcd(plane cells, 8) planes that make one.
         """
         import numpy as np
 
@@ -264,19 +268,22 @@ class SubsetSumTable:
             raise BudgetError(
                 f"digest layout needs {cells} cells, above the table budget of {TABLE_BIT_BUDGET} bits"
             )
-        if coords is None:
-            coords = self.coords(size)
-        strides = np.cumprod([1] + shape[:-1], dtype=np.int64)
-        flat = (coords - np.asarray(lo, dtype=np.int64)) @ strides
+        grid = self._grid(self.layer(size))
+        plane_shape = shape[-2::-1]  # the axes of one plane of the last coordinate, last coordinate first
+        plane_cells = prod(plane_shape)
+        whole = 8 // gcd(plane_cells, 8)  # the fewest planes that make whole bytes
+        planes = max(whole, 8 * _DIGEST_CHUNK // plane_cells // whole * whole)
+        # the table box inside the digest box: its first plane, and its extent within a plane
+        first = self.box_lo[-1] - lo[-1]
+        inner = tuple(slice(b - a, b - a + n) for a, b, n in zip(lo[-2::-1], self.box_lo[-2::-1], grid.shape[1:]))
         h = hashlib.sha256()
         h.update(repr((self.dim, lo, hi, size)).encode())
-        nbytes = (cells + 7) // 8
-        for start in range(0, nbytes, _DIGEST_CHUNK):  # bounded memory for a sparse layout
-            stop = min(start + _DIGEST_CHUNK, nbytes)
-            i, j = np.searchsorted(flat, (8 * start, 8 * stop))
-            bits = np.zeros(8 * (stop - start), dtype=np.uint8)
-            bits[flat[i:j] - 8 * start] = 1
-            h.update(np.packbits(bits, bitorder="little").tobytes())
+        for start in range(0, shape[-1], planes):
+            slab = np.zeros((min(planes, shape[-1] - start), *plane_shape), dtype=bool)
+            a, b = max(start, first), min(start + len(slab), first + len(grid))
+            if a < b:
+                slab[(slice(a - start, b - start), *inner)] = grid[a - first : b - first]
+            h.update(np.packbits(slab, bitorder="little").tobytes())
         return h.hexdigest()
 
 

@@ -19,8 +19,9 @@ The earlier bitset hull fill, a monotone-chain hull ring of the row ends
 cut row by row along its edges, is the reference for the two-envelope
 ``hull_fill``, and the earlier grid enumerator, one ``hull_fill`` per mask
 over all 2^cells masks (``enumerate_by_masks``), for the row-interval one.
-The numpy unpacking that ``SubsetSumTable.points_of`` once ran
-(``points_of``) is the reference for its plain-Python byte walk.
+The numpy unpacking that ``SubsetSumTable.points_of`` and ``coords`` once
+ran, flat indices split by ``divmod`` per coordinate (``points_of``), is
+the reference for the byte walk and for ``coords``' reading of the bit grid.
 The full-depth ``verify_polygon`` and ``_examine_config``, which read every
 size 0..N from a depth-N table and ran each check on its own hull fill,
 are kept (``full_depth_verify_polygon``, ``full_depth_examine_config``) as
@@ -549,5 +550,16 @@ class SubsetSumTable:
 
 
 def points_of(table, bits):
-    """The points of a bitset in ``table``'s box, through the table's numpy unpacking."""
-    return list(map(tuple, table._unpack(bits).tolist()))
+    """The points of a bitset in ``table``'s box, in flat order, split from flat indices per coordinate."""
+    import numpy as np
+
+    nbytes = (table.total_cells + 7) // 8
+    raw = bits.to_bytes(nbytes, "little")
+    unpacked = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
+    flat = np.flatnonzero(unpacked[: table.total_cells]).astype(np.int64)
+    out = np.empty((flat.size, table.dim), dtype=np.int64)
+    for d in range(table.dim - 1, -1, -1):
+        out[:, d], flat = np.divmod(flat, table._strides[d])
+    for d in range(table.dim):
+        out[:, d] += table.box_lo[d]
+    return list(map(tuple, out.tolist()))

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from functools import reduce
 
 import pytest
@@ -18,10 +19,11 @@ from wedgepower import (
     exceptional_triangle,
     plane_coordinates,
     quadrant_points_below,
+    verify_counterexample,
     wedge_power,
     witness_point,
 )
-from wedgepower.counterexample3d import _plane_chart, _plane_normal
+from wedgepower.counterexample3d import _lowest_level, _plane_chart, _plane_normal
 from wedgepower.geometry import _det
 
 import oracles
@@ -202,3 +204,40 @@ class TestMediumScaleTable:
     def test_table_rebuild_reproduces_the_digest(self):
         pts = [(x, y, z) for x in range(3) for y in range(3 - x) for z in range(3 - x - y)]
         assert SubsetSumTable(pts, 5).digest(5) == SubsetSumTable(pts, 5).digest(5)
+
+
+@st.composite
+def level_cases(draw):
+    """A 2D or 3D table's points, a depth, whether the table holds one layer, and a form's coefficients."""
+    dim = draw(st.integers(2, 3))
+    points = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * dim), min_size=1, max_size=6, unique=True))
+    depth, one_layer = draw(st.integers(0, len(points))), draw(st.booleans())
+    return points, depth, one_layer, draw(st.tuples(*[st.integers(-3, 3)] * dim))
+
+
+@given(level_cases())
+@example(([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)], 2, True, (0, 0, 0)))
+@example(([(2, -1, 0), (-1, 2, 1), (0, 0, -2), (1, 1, 1)], 2, False, (1, 1, -1)))
+def test_lowest_level_is_the_minimum_over_the_layer(case):
+    # zero and negative coefficients make ties; every sum at the minimum is listed
+    points, depth, one_layer, coeffs = case
+    table = SubsetSumTable(points, depth, _one_layer=one_layer)
+    sums = table.points_at(depth)
+    levels = [sum(a * c for a, c in zip(coeffs, p)) for p in sums]
+    least = min(levels)
+    expected = tuple(sorted(p for p, level in zip(sums, levels) if level == least))
+    assert _lowest_level(table, depth, coeffs) == (least, expected)
+
+
+def test_the_witness_run_peaks_under_8_mb():
+    # after a warm-up call (numpy's import and first-use caches), the run holds its
+    # table and one bit grid of the layer, not a coordinate array of its 425,997 sums
+    verify_counterexample(build_colored_simplex())
+    tracemalloc.start()
+    try:
+        report = verify_counterexample(build_colored_simplex())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.holds
+    assert peak < 8 << 20, f"traced peak {peak / 2**20:.1f} MB"

@@ -11,7 +11,9 @@ must report what examining every member would.
 The subset-sum table's tight box must give the layers, counts, membership
 answers and digests of the table in its earlier, larger box, and a
 translated table's layers must be the original's, moved, and the byte walk
-of ``points_of`` must list a bitset's points as the numpy unpacking does.  The
+of ``points_of`` and ``coords``' reading of the bit grid must list a
+bitset's points as the numpy unpacking does, and a digest must not depend on
+the size of the slabs it is hashed in.  The
 two-envelope ``hull_fill`` must give the earlier ring kernel's fill bit for
 bit, and a table's ``check_convex`` the tuple-path report.  The
 row-interval grid enumerator must list what the mask loop over all 2^cells
@@ -28,11 +30,12 @@ own points; and the grid run's grouping by corner form must make the orbits
 that normal forms make.
 A table's layers must not depend on the order its points are fed in, and a
 one-layer table must hold its full table's layer at its depth, bit for bit,
-and refuse every other read.
+with the same digest, and refuse every other read.
 """
 
 import itertools
 import random
+import unittest.mock
 from functools import lru_cache, reduce
 
 import pytest
@@ -60,6 +63,7 @@ from wedgepower import (
     wedge_power,
 )
 from wedgepower import geometry, harness
+import wedgepower.wedge as wedge_module
 from wedgepower.wedge import _reflect, hull_fill
 
 import oracles
@@ -344,6 +348,38 @@ def test_points_of_lists_what_the_numpy_unpacking_lists(case, data, rng):
         assert table.points_of(bits) == oracles.points_of(table, bits)
 
 
+@given(
+    st.integers(1, 4).flatmap(
+        lambda dim: st.lists(st.tuples(*[st.integers(-3, 3)] * dim), min_size=1, max_size=6, unique=True)
+    ),
+    st.data(),
+)
+def test_coords_list_what_the_numpy_unpacking_lists(points, data):
+    # full, one-layer and derived tables; sizes out of range and derived tables short of points read empty layers
+    depth = data.draw(st.integers(0, len(points)))
+    kind = data.draw(st.sampled_from(["full", "one-layer", "derived"]))
+    table = SubsetSumTable(points, depth, _one_layer=kind == "one-layer")
+    sizes = [depth] if kind == "one-layer" else range(-1, depth + 2)
+    if kind == "derived":
+        rest = data.draw(st.lists(st.sampled_from(points), unique=True))
+        table = table._derived(rest, [table.layer(0)] + [0] * data.draw(st.integers(0, depth)))
+    for size in sizes:
+        coords = table.coords(size)
+        assert (coords.dtype.name, coords.shape[1]) == ("int64", table.dim)
+        assert list(map(tuple, coords.tolist())) == oracles.points_of(table, table.layer(size))
+
+
+@given(tables(), st.sampled_from([1, 2, 3, 5]))
+def test_digests_do_not_depend_on_the_slab_size(case, chunk):
+    # a chunk of a few bytes makes slabs of a few planes, so slabs start and end inside the table box
+    points, depth = case
+    table = SubsetSumTable(points, depth)
+    reference = oracles.SubsetSumTable(points, depth, len(points[0]))
+    with unittest.mock.patch.object(wedge_module, "_DIGEST_CHUNK", chunk):
+        for size in range(depth + 1):
+            assert table.digest(size) == reference.digest(size)
+
+
 # --- feed order and one-layer tables against the full table ------------------
 
 
@@ -384,6 +420,7 @@ def test_one_layer_tables_hold_the_full_tables_layer(points):
         assert one.layer(depth) == full.layer(depth)
         assert one.count(depth) == full.count(depth) == len(expected)
         assert one.points_at(depth) == full.points_at(depth)
+        assert one.digest(depth) == full.digest(depth)
         assert set(one.points_at(depth)) == expected
         for point in _probes(points, full):
             assert one.contains(depth, point) == full.contains(depth, point) == (point in expected)

@@ -214,6 +214,13 @@ class TestSubsetSumTable:
         assert not table.contains(2, (50, 50))
         assert not table.contains(4, (0, 0))
 
+    @pytest.mark.parametrize("point", [(1, 0), (1, 0, 0, 5)])
+    def test_contains_refuses_a_point_of_another_dimension(self, point):
+        table = SubsetSumTable([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)], 1)
+        assert table.contains(1, (1, 0, 0))
+        with pytest.raises(DimensionError, match=f"dimension {len(point)}, the table has dimension 3"):
+            table.contains(1, point)
+
     @pytest.mark.parametrize("size", [-3, -1, 3, 4])
     def test_out_of_range_sizes_read_the_empty_layer(self, size):
         table = SubsetSumTable([(0, 0), (1, 0), (0, 1)], 2)
