@@ -5,16 +5,18 @@ form 5x + 4y + 7z into 40 points below level 25, 40 above, and 4 exactly on
 it.  The four level-25 points are a planar configuration whose pairwise
 sums miss the doubled centre point, and that gap survives into the full
 42-fold wedge power: the sum of the 40 low points plus twice the centre
-lies in the hull of the wedge but not in the wedge itself.
+lies in the hull of the wedge but not in the wedge itself.  The wedge's
+lowest slice under the form is certified from sorted levels (``_lowest_slice``).
 """
 
 import itertools
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .geometry import LinearFunctional, Point, PointConfig, _xgcd
-from .wedge import SubsetSumTable
+from .wedge import SubsetSumTable, wedge_power
 
 SIMPLEX_SCALE = 6
 WEDGE_DEPTH = 42
@@ -153,7 +155,9 @@ def verify_counterexample(simplex: Optional[ColoredSimplex] = None) -> Counterex
     The hull membership of the witness is certified without any linear
     programming: the witness is one third of the sum of three wedge members
     (low sum plus each pair from the outer on-level triple), and that
-    identity is checked in exact integers.
+    identity is checked in exact integers.  The lowest level and its slice
+    come from the certificate ``_lowest_slice``, and any disagreement of
+    the table with it raises RuntimeError.
     """
     if simplex is None:
         simplex = build_colored_simplex()
@@ -164,16 +168,15 @@ def verify_counterexample(simplex: Optional[ColoredSimplex] = None) -> Counterex
     in_wedge = table.contains(WEDGE_DEPTH, witness)
 
     low_sum = simplex.low.total()
-    generators = []
-    for a, b in itertools.combinations(simplex.outer_triple, 2):
-        g = tuple(s + x + y for s, x, y in zip(low_sum, a, b))
-        if not table.contains(WEDGE_DEPTH, g):
-            raise RuntimeError(f"expected wedge member {g} is missing")
-        generators.append(g)
-    combined = tuple(sum(cs) for cs in zip(*generators))
-    in_hull = combined == tuple(3 * c for c in witness)
+    generators = wedge_power(PointConfig.of(simplex.outer_triple), 2).translate(low_sum).points
+    in_hull = tuple(map(sum, zip(*generators))) == tuple(3 * c for c in witness)
 
-    min_level, slice_points = _lowest_level(table, WEDGE_DEPTH, functional.coeffs)
+    min_level, slice_points = _lowest_slice(simplex.points.points, WEDGE_DEPTH, functional.coeffs)
+    for p in (*generators, *slice_points):
+        if not table.contains(WEDGE_DEPTH, p):
+            raise RuntimeError(f"expected wedge member {p} is missing")
+    if functional(witness) == min_level and in_wedge != (witness in slice_points):
+        raise RuntimeError("the table and the certified slice disagree on the witness")
 
     return Counterexample3DReport(
         counts=(len(simplex.low), len(simplex.high), len(simplex.on_level)),
@@ -188,36 +191,22 @@ def verify_counterexample(simplex: Optional[ColoredSimplex] = None) -> Counterex
     )
 
 
-def _lowest_level(table: SubsetSumTable, size: int, coeffs: Sequence[int]) -> tuple[int, tuple[Point, ...]]:
-    """The least value of ``coeffs`` . p over the sums p in one layer, and every sum attaining it, sorted.
+def _lowest_slice(points: Sequence[Point], depth: int, coeffs: Sequence[int]) -> tuple[int, tuple[Point, ...]]:
+    """The least value of ``coeffs`` . p over the sums p of ``depth`` distinct points, and every sum attaining it, sorted.
 
-    The layer of a table of dimension 2 or 3 is read as its bit grid, one
-    slice along the last coordinate at a time: a slice's values are one
-    array, the other coordinates' part of the form, plus the last
-    coordinate's term.  No array of coordinates, or of values over the
-    whole box, is built.  An empty layer raises ValueError.
+    A sum is least exactly when it takes the ``depth`` least levels: with
+    ``cut`` the ``depth``-th least level, every point below the cut and the
+    rest from the points at it.  No table is read.
     """
-    import numpy as np
-
-    grid = table._grid(table.layer(size))
-    lo, coeffs = table.box_lo[::-1], tuple(coeffs)[::-1]  # last coordinate first, as the grid
-    # the form on one slice, less the last coordinate's term: a sum of one open grid per other axis
-    terms = (np.arange(b, b + n, dtype=np.int64) * a for n, b, a in zip(grid.shape[1:], lo[1:], coeffs[1:]))
-    plane = sum(np.ix_(*terms))
-    best, found = None, []
-    for index, cells in enumerate(grid):
-        if not cells.any():
-            continue
-        last = index + lo[0]
-        level = int(plane.min(where=cells, initial=np.iinfo(np.int64).max)) + coeffs[0] * last
-        if best is None or level < best:
-            best, found = level, []
-        if level == best:
-            at_level = np.argwhere(cells & (plane == level - coeffs[0] * last)) + lo[1:]
-            found.extend((last, *rest) for rest in at_level.tolist())
-    if best is None:
-        raise ValueError(f"layer {size} is empty")
-    return best, tuple(sorted(tuple(reversed(p)) for p in found))
+    if depth == 0:
+        return 0, ((0,) * len(coeffs),)
+    ordered = sorted((sum(a * c for a, c in zip(coeffs, p)), p) for p in points)
+    levels = [level for level, _ in ordered]
+    cut = levels[depth - 1]
+    below, above = bisect_left(levels, cut), bisect_right(levels, cut)
+    base = PointConfig.of((p for _, p in ordered[:below]), dim=len(coeffs)).total()
+    at_cut = PointConfig.of((p for _, p in ordered[below:above]), dim=len(coeffs))
+    return sum(levels[:depth]), wedge_power(at_cut, depth - below).translate(base).points
 
 
 def quadrant_points_below(functional: LinearFunctional, cap: int) -> PointConfig:

@@ -6,6 +6,7 @@ duplicated points name the duplicate.
 """
 
 import json
+import sys
 from pathlib import Path
 from typing import Union
 
@@ -25,6 +26,8 @@ def parse_point_config(text: str, source: str = "<input>") -> PointConfig:
         ) from exc
     except RecursionError as exc:
         raise InputFormatError(f"{source}: JSON nested too deeply") from exc
+    except ValueError as exc:  # an integer literal past the interpreter's digit limit
+        raise InputFormatError(f"{source}: an integer has more than {sys.get_int_max_str_digits()} digits") from exc
     if not isinstance(data, dict):
         raise InputFormatError(f"{source}: top level must be an object")
     if "dim" not in data or "points" not in data:

@@ -14,11 +14,10 @@ until the last points.  A table asked for a single layer d (the 3D witness,
 feed), since no lower layer can still reach d.
 
 numpy is imported only by the readers of ``_grid``, a layer unpacked into
-one boolean array over the box: ``coords``, ``digest`` and the 3D witness.
-Only ``coords`` turns it into coordinates; the digest and the witness read
-the bit grid itself.  Every other reader of points, ``points_at`` and wedge
-powers included, goes through the pure-Python ``points_of`` and never pays
-for the import.
+one boolean array over the box: ``coords`` and ``digest``.  Only ``coords``
+turns it into coordinates; the digest reads the bit grid itself.  Every
+other reader of points, ``points_at`` and wedge powers included, goes
+through the pure-Python ``points_of`` and never pays for the import.
 """
 
 import hashlib
@@ -103,7 +102,7 @@ class SubsetSumTable:
         held = min(depth + 1, len(points) - depth + 2) if _one_layer else depth + 1
         if self.total_cells * (held + 2) > TABLE_BIT_BUDGET:
             raise BudgetError(
-                f"subset-sum table needs {self.total_cells} cells x {held + 2} layers ({held} held and 2 in "
+                f"subset-sum table needs {_abridged(self.total_cells)} cells x {held + 2} layers ({held} held and 2 in "
                 f"a shifted OR), above the table budget of {TABLE_BIT_BUDGET} bits"
             )
 
@@ -266,7 +265,7 @@ class SubsetSumTable:
         cells = prod(shape)
         if cells > TABLE_BIT_BUDGET:
             raise BudgetError(
-                f"digest layout needs {cells} cells, above the table budget of {TABLE_BIT_BUDGET} bits"
+                f"digest layout needs {_abridged(cells)} cells, above the table budget of {TABLE_BIT_BUDGET} bits"
             )
         grid = self._grid(self.layer(size))
         plane_shape = shape[-2::-1]  # the axes of one plane of the last coordinate, last coordinate first
@@ -285,6 +284,14 @@ class SubsetSumTable:
                 slab[(slice(a - start, b - start), *inner)] = grid[a - first : b - first]
             h.update(np.packbits(slab, bitorder="little").tobytes())
         return h.hexdigest()
+
+
+def _abridged(count: int) -> str:
+    """A count for a message: in full up to 15 digits, else its first four and its digit count, in integers only."""
+    digits = count.bit_length() * 3 // 10  # at most the digit count, as log10(2) > 0.3
+    while 10**digits <= count:
+        digits += 1
+    return str(count) if digits <= 15 else f"{count // 10 ** (digits - 4)}... ({digits} digits)"
 
 
 def wedge_power(base: PointConfig, subset_size: int) -> PointConfig:

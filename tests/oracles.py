@@ -22,6 +22,10 @@ over all 2^cells masks (``enumerate_by_masks``), for the row-interval one.
 The numpy unpacking that ``SubsetSumTable.points_of`` and ``coords`` once
 ran, flat indices split by ``divmod`` per coordinate (``points_of``), is
 the reference for the byte walk and for ``coords``' reading of the bit grid.
+The 3D witness's earlier reading of its lowest level, a scan of the
+layer's bit grid one plane at a time (``lowest_level``), is the reference
+for the certificate ``counterexample3d._lowest_slice`` reads off the
+sorted levels.
 The full-depth ``verify_polygon`` and ``_examine_config``, which read every
 size 0..N from a depth-N table and ran each check on its own hull fill,
 are kept (``full_depth_verify_polygon``, ``full_depth_examine_config``) as
@@ -563,3 +567,35 @@ def points_of(table, bits):
     for d in range(table.dim):
         out[:, d] += table.box_lo[d]
     return list(map(tuple, out.tolist()))
+
+
+def lowest_level(table, size, coeffs):
+    """The least value of ``coeffs`` . p over the sums p in one layer, and every sum attaining it, sorted.
+
+    The layer of a table of dimension 2 or 3 is read as its bit grid, one
+    slice along the last coordinate at a time: a slice's values are one
+    array, the other coordinates' part of the form, plus the last
+    coordinate's term.  No array of coordinates, or of values over the
+    whole box, is built.  An empty layer raises ValueError.
+    """
+    import numpy as np
+
+    grid = table._grid(table.layer(size))
+    lo, coeffs = table.box_lo[::-1], tuple(coeffs)[::-1]  # last coordinate first, as the grid
+    # the form on one slice, less the last coordinate's term: a sum of one open grid per other axis
+    terms = (np.arange(b, b + n, dtype=np.int64) * a for n, b, a in zip(grid.shape[1:], lo[1:], coeffs[1:]))
+    plane = sum(np.ix_(*terms))
+    best, found = None, []
+    for index, cells in enumerate(grid):
+        if not cells.any():
+            continue
+        last = index + lo[0]
+        level = int(plane.min(where=cells, initial=np.iinfo(np.int64).max)) + coeffs[0] * last
+        if best is None or level < best:
+            best, found = level, []
+        if level == best:
+            at_level = np.argwhere(cells & (plane == level - coeffs[0] * last)) + lo[1:]
+            found.extend((last, *rest) for rest in at_level.tolist())
+    if best is None:
+        raise ValueError(f"layer {size} is empty")
+    return best, tuple(sorted(tuple(reversed(p)) for p in found))

@@ -378,6 +378,23 @@ class TestErrorHandling:
         assert result.stderr.startswith("error:") and "nested too deeply" in result.stderr
         assert "Traceback" not in result.stderr
 
+    def test_over_long_integer_names_the_file(self, capsys, tmp_path):
+        # past the interpreter's limit on digits in an integer literal
+        long = tmp_path / "long.json"
+        long.write_text('{"dim": 2, "points": [[' + "1" * 5000 + ", 0]]}")
+        code, out, err = run(capsys, "check-convex", "--input", long)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {long}:") and "digits" in err
+
+    def test_huge_cell_count_is_abridged(self, capsys, tmp_path):
+        # a 4,001-digit cell count, printed in full, made a 4 kB message
+        far = tmp_path / "far.json"
+        far.write_text('{"dim": 2, "points": [[0, 0], [1' + "0" * 4000 + ", 1]]}")
+        code, out, err = run(capsys, "check-convex", "--input", far)
+        assert (code, out) == (1, "")
+        assert len(err.encode()) < 200
+        assert "table budget" in err and "(4001 digits)" in err
+
     def test_duplicate_point_named(self, capsys, tmp_path):
         dup = tmp_path / "dup.json"
         dup.write_text('{"dim": 2, "points": [[0, 1], [0, 1]]}')
@@ -457,7 +474,7 @@ print(json.dumps({"codes": codes, "numpy_loaded": "numpy" in sys.modules}))
 
 
 def test_planar_commands_never_load_numpy(tmp_path):
-    # only the 3D witness needs numpy, for its layer's coordinates and digests
+    # only SubsetSumTable.coords and layer digests need numpy; no planar command calls them
     result = _run_python(["-c", PLANAR_RUNS, str(tmp_path)])
     assert result.returncode == 0, result.stderr
     outcome = json.loads(result.stdout)

@@ -23,7 +23,8 @@ from wedgepower import (
     wedge_power,
     witness_point,
 )
-from wedgepower.counterexample3d import _lowest_level, _plane_chart, _plane_normal
+from wedgepower import counterexample3d
+from wedgepower.counterexample3d import _lowest_slice, _plane_chart, _plane_normal
 from wedgepower.geometry import _det
 
 import oracles
@@ -226,7 +227,37 @@ def test_lowest_level_is_the_minimum_over_the_layer(case):
     levels = [sum(a * c for a, c in zip(coeffs, p)) for p in sums]
     least = min(levels)
     expected = tuple(sorted(p for p, level in zip(sums, levels) if level == least))
-    assert _lowest_level(table, depth, coeffs) == (least, expected)
+    assert oracles.lowest_level(table, depth, coeffs) == (least, expected)
+
+
+def simplex_points(m):
+    """The lattice points of the simplex x + y + z <= m."""
+    return [(x, y, z) for x in range(m + 1) for y in range(m + 1 - x) for z in range(m + 1 - x - y)]
+
+
+@st.composite
+def simplex_cases(draw):
+    """The points of x + y + z <= m for m = 2..4, a depth, and a form: the witness's, a tie-heavy one or any."""
+    points = simplex_points(draw(st.integers(2, 4)))
+    depth = draw(st.integers(0, len(points)))
+    forms = st.sampled_from([(5, 4, 7), (1, 1, 1), (0, 0, 0), (1, 0, -1)]) | st.tuples(*[st.integers(-3, 3)] * 3)
+    return points, depth, False, draw(forms)
+
+
+@given(level_cases() | simplex_cases())
+@example((simplex_points(6), 42, False, (5, 4, 7)))
+def test_lowest_slice_is_the_scanned_lowest_level(case):
+    # the certificate reads only the sorted levels; the oracle scans a full table's layer
+    points, depth, _, coeffs = case
+    table = SubsetSumTable(points, depth)
+    assert _lowest_slice(points, depth, coeffs) == oracles.lowest_level(table, depth, coeffs)
+
+
+def test_a_certified_slice_point_outside_the_wedge_raises(monkeypatch, simplex):
+    # the run checks the certificate against the table: a slice holding the witness cannot pass
+    monkeypatch.setattr(counterexample3d, "_lowest_slice", lambda *args: (712, (witness_point(simplex),)))
+    with pytest.raises(RuntimeError, match="missing"):
+        verify_counterexample(simplex)
 
 
 def test_the_witness_run_peaks_under_8_mb():
