@@ -8,7 +8,7 @@ distinct quadrant points.
 """
 
 from .geometry import BudgetError, PointConfig
-from .wedge import ConvexityReport, SubsetSumTable
+from .wedge import ConvexityReport, SubsetSumTable, _abridged
 
 BOUND_LIMIT = 1_000  # at it, (B + 1)(B + 2) / 2 = 501,501 points are listed before the table budget is checked
 
@@ -17,9 +17,9 @@ def truncated_quadrant(bound: int) -> PointConfig:
     """All (x, y) with x, y >= 0 and x + y <= bound."""
     if bound < 0:
         raise ValueError("bound must be nonnegative")
-    points = [(x, y) for x in range(bound + 1) for y in range(bound + 1 - x)]
+    points = tuple((x, y) for x in range(bound + 1) for y in range(bound + 1 - x))
     assert len(points) == (bound + 1) * (bound + 2) // 2
-    return PointConfig.of(points, dim=2)
+    return PointConfig(2, points)  # distinct integer points, already in sorted order
 
 
 def verify_corner_cut(subset_size: int, bound: int) -> ConvexityReport:
@@ -32,7 +32,7 @@ def verify_corner_cut(subset_size: int, bound: int) -> ConvexityReport:
     if bound < 2:
         raise ValueError("bound must be at least 2")
     if bound > BOUND_LIMIT:
-        raise BudgetError(f"bound {bound} is above the corner-cut bound limit of {BOUND_LIMIT}")
+        raise BudgetError(f"bound {_abridged(bound)} is above the corner-cut bound limit of {BOUND_LIMIT}")
     quadrant = truncated_quadrant(bound)
     if not 1 <= subset_size <= len(quadrant):
         raise ValueError(

@@ -184,10 +184,18 @@ def _det(matrix: Sequence[Sequence[int]]) -> int:
 
 
 def _lower_chain(pts: Iterable[Point]) -> list[Point]:
-    """Strict corners of the lower hull of points sorted left to right (monotone chain)."""
+    """Strict corners of the lower hull of points sorted left to right (monotone chain).
+
+    The orientation test is ``cross(chain[-2], chain[-1], p) > 0``, written
+    out: a call per step would cost more than the test.
+    """
     chain: list[Point] = []
     for p in pts:
-        while len(chain) > 1 and cross(chain[-2], chain[-1], p) <= 0:
+        bx, by = p
+        while len(chain) > 1:
+            (ox, oy), (ax, ay) = chain[-2], chain[-1]
+            if (ax - ox) * (by - oy) > (ay - oy) * (bx - ox):
+                break
             chain.pop()
         chain.append(p)
     return chain

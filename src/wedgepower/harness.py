@@ -8,7 +8,6 @@ appear only for the exceptional triangles, and only at subset sizes 2 and
 N-2.
 """
 
-import multiprocessing
 import os
 from dataclasses import dataclass, field
 from functools import reduce
@@ -16,7 +15,7 @@ from operator import and_, or_
 from typing import Optional
 
 from .geometry import BudgetError, DimensionError, Point, PointConfig, _corner_form, exception_index, vertex_set
-from .wedge import SubsetSumTable, _reflect, hull_fill
+from .wedge import SubsetSumTable, _abridged, _reflect, hull_count
 
 GRID_CELL_BUDGET = 25
 
@@ -33,7 +32,7 @@ class GridSpec:
             raise ValueError("grid extents must be nonnegative")
         if self.cell_count > GRID_CELL_BUDGET:
             raise BudgetError(
-                f"grid has {self.cell_count} cells, enumeration budget is {GRID_CELL_BUDGET}"
+                f"grid has {_abridged(self.cell_count)} cells, enumeration budget is {GRID_CELL_BUDGET}"
             )
 
     @property
@@ -50,8 +49,9 @@ def enumerate_lattice_convex(grid: GridSpec) -> list[PointConfig]:
     A lattice-convex set is a run of row intervals [l, r], and a row inside
     the run may be empty: the segment (0,0)-(1,2) has no lattice point on
     row 1.  Rows are chosen depth first from y = 0 on a bitset in
-    hull_fill's layout, bit x + y * (width + 1), and a prefix is extended
-    only while it is lattice-convex: the hull of a set contains the hull of
+    hull_count's layout, bit x + y * (width + 1), and a prefix is extended
+    only while it is lattice-convex, that is while its hull holds no more
+    lattice points than it does: the hull of a set contains the hull of
     each of its prefixes, so a prefix missing a hull point never gets it
     back.  A set is kept when its top row is nonempty and some row starts
     at x = 0, so each translation class appears once, moved to the origin.
@@ -67,7 +67,7 @@ def enumerate_lattice_convex(grid: GridSpec) -> list[PointConfig]:
         for lo in range(row_width):
             for hi in range(lo, row_width):
                 bits = prefix | ((1 << (hi - lo + 1)) - 1) << (y * row_width + lo)
-                if hull_fill(bits, row_width) != bits:
+                if hull_count(bits, row_width) != len(points) + hi - lo + 1:
                     # a wider top row only grows the hull over the same rows
                     # below, so it misses the same points
                     break
@@ -132,7 +132,20 @@ def union_decomposition_holds(config: PointConfig, subset_size: int) -> bool:
     if config.dim != 2:
         raise DimensionError("union decomposition is checked for planar configurations")
     base, deletions = _tables(config, subset_size, min(subset_size, len(config) - 1))
-    return _fill_is_covered(base.hull_fill(subset_size), deletions, subset_size)
+    return _hull_is_covered(base, deletions, subset_size, base.hull_count(subset_size))
+
+
+def _hull_is_covered(base: SubsetSumTable, deletions: list[SubsetSumTable], size: int, count: int) -> bool:
+    """Is the hull of ``base``'s layer ``size``, of ``count`` lattice points, inside the deletions' hulls at ``size``?
+
+    Each deletion layer lies in the base layer and so in its hull, so the
+    union of the deletion layers covers the hull exactly when it has
+    ``count`` points.  Only when it has fewer is the hull fill built, for
+    _fill_is_covered to try the deletions' fills.
+    """
+    if reduce(or_, (table.layer(size) for table in deletions)).bit_count() == count:
+        return True
+    return _fill_is_covered(base.hull_fill(size), deletions, size)
 
 
 def _fill_is_covered(whole: int, deletions: list[SubsetSumTable], size: int) -> bool:
@@ -196,10 +209,10 @@ def verify_polygon(config: PointConfig) -> TheoremReport:
 
 
 def _theorem_report(config: PointConfig, base: SubsetSumTable) -> tuple[TheoremReport, list[int]]:
-    """verify_polygon's report from a table of depth N//2, and the hull fill of each size it read."""
+    """verify_polygon's report from a table of depth N//2, and the hull count of each size it read."""
     n = len(config)
-    fills = [base.hull_fill(p) for p in range(base.depth + 1)]
-    reports = [base._convexity(p, fill) for p, fill in enumerate(fills)]
+    counts = [base.hull_count(p) for p in range(base.depth + 1)]
+    reports = [base._convexity(p, count) for p, count in enumerate(counts)]
     per_size = [(p, report.convex, report.missing.points) for p, report in enumerate(reports)]
     total = config.total()
     for p in range(len(reports), n + 1):
@@ -212,7 +225,7 @@ def _theorem_report(config: PointConfig, base: SubsetSumTable) -> tuple[TheoremR
     failures = {p for p, convex, _ in per_size if not convex}
     expected = {2, n - 2} if k is not None else set()
     verdict = "conforms" if failures == expected else "violates"
-    return TheoremReport(config, n, k, tuple(per_size), verdict), fills
+    return TheoremReport(config, n, k, tuple(per_size), verdict), counts
 
 
 @dataclass(frozen=True)
@@ -250,14 +263,14 @@ def _examine_config(config: PointConfig) -> tuple[Optional[int], list[tuple[str,
     problems: list[tuple[str, Optional[int]]] = []
     n = len(config)
     base, deletions = _tables(config, n // 2, n // 2)
-    report, fills = _theorem_report(config, base)
+    report, counts = _theorem_report(config, base)
     if report.verdict != "conforms":
         problems.append(("wedge-convexity", None))
     for p in range(1, n // 2 + 1):
         good = bool(_common_layer(deletions, p))
         if n >= 5 and not good:
             problems.append(("not-p-good", p))
-        if n >= 4 and good and not _fill_is_covered(fills[p], deletions, p):
+        if n >= 4 and good and not _hull_is_covered(base, deletions, p, counts[p]):
             problems.append(("union-decomposition", p))
     return report.exception_k, problems
 
@@ -284,6 +297,8 @@ def verify_grid(grid: GridSpec, jobs: int = 1) -> GridSummary:
     for form, config in zip(forms, configs):
         representatives.setdefault(form, config)
     if jobs > 1:
+        import multiprocessing  # loaded only for a pool: its import slows every command's start
+
         with multiprocessing.Pool(jobs) as pool:
             results = pool.map(_examine_config, representatives.values())
     else:

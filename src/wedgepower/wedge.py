@@ -13,6 +13,12 @@ until the last points.  A table asked for a single layer d (the 3D witness,
 ``wedge_power``) updates layer c only while c >= d - (points still to
 feed), since no lower layer can still reach d.
 
+A planar layer is lattice-convex exactly when its hull holds as many
+lattice points as the layer has bits.  ``hull_count`` counts them from the
+hull's corners by Pick's theorem; ``hull_fill`` builds the hull's lattice
+points as a bitset, and verdicts build it only to list what a layer that
+is not convex misses.
+
 numpy is imported only by the readers of ``_grid``, a layer unpacked into
 one boolean array over the box: ``coords`` and ``digest``.  Only ``coords``
 turns it into coordinates; the digest reads the bit grid itself.  Every
@@ -25,9 +31,10 @@ import itertools
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from math import gcd, prod
+from operator import add, mul
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
-from .geometry import BudgetError, DimensionError, Point, PointConfig, _ceil_envelope
+from .geometry import BudgetError, DimensionError, Point, PointConfig, _ceil_envelope, _lower_chain
 
 if TYPE_CHECKING:
     import numpy as np
@@ -128,7 +135,11 @@ class SubsetSumTable:
         as soon as no later point reads it.
         """
         layers, depth = self._layers, self.depth
-        offsets = sorted(sum(c * s for c, s in zip(point, self._strides)) for point in points)
+        columns = zip(*points)
+        offsets = list(next(columns, ()))  # the first coordinate's stride is 1
+        for column, stride in zip(columns, self._strides[1:]):
+            offsets = list(map(add, offsets, map(mul, column, itertools.repeat(stride))))
+        offsets.sort()
         todo = len(offsets)
         for offset in offsets:
             todo -= 1
@@ -186,20 +197,32 @@ class SubsetSumTable:
 
     def hull_fill(self, size: int) -> int:
         """The lattice points of the hull of one layer of a table of dimension 1 or 2, as a bitset."""
+        return hull_fill(self._planar_layer(size), self._shape[0])
+
+    def hull_count(self, size: int) -> int:
+        """The number of lattice points of the hull of one layer of a table of dimension 1 or 2."""
+        return hull_count(self._planar_layer(size), self._shape[0])
+
+    def _planar_layer(self, size: int) -> int:
         if self.dim > 2:
             raise DimensionError("layer convexity is decided in dimension <= 2 only")
-        return hull_fill(self.layer(size), self._shape[0])
+        return self.layer(size)
 
     def check_convex(self, size: int) -> "ConvexityReport":
         """Lattice-convexity of one layer of a table of dimension 1 or 2."""
-        return self._convexity(size, self.hull_fill(size))
+        return self._convexity(size, self.hull_count(size))
 
-    def _convexity(self, size: int, fill: int) -> "ConvexityReport":
-        """check_convex given the layer's hull fill, for callers that use the fill again."""
+    def _convexity(self, size: int, count: int) -> "ConvexityReport":
+        """check_convex given the layer's hull count, for callers that use the count again.
+
+        The layer is convex when it has as many points as its hull; only a
+        layer that is not gets its hull fill built, to list what it misses.
+        """
         layer = self.layer(size)
-        missing = fill & ~layer
-        points = PointConfig.of(self.points_of(missing) if missing else (), dim=self.dim)
-        return ConvexityReport(not missing, points, layer.bit_count())
+        if count == layer.bit_count():
+            return ConvexityReport(True, PointConfig(self.dim, ()), count)
+        missing = self.hull_fill(size) & ~layer
+        return ConvexityReport(False, PointConfig.of(self.points_of(missing), dim=self.dim), layer.bit_count())
 
     def points_of(self, bits: int) -> list[Point]:
         """The points of a bitset laid out in this table's box, in flat order.
@@ -326,21 +349,15 @@ class ConvexityReport:
         }
 
 
-def hull_fill(layer: int, width: int) -> int:
-    """The lattice points of the convex hull of a planar bitset, as a bitset.
+def _row_ends(layer: int, width: int) -> tuple[int, list[Point], list[Point]]:
+    """The bit offset of a nonempty planar bitset's lowest row, and each nonempty row's (y, min x) and (y, -max x).
 
-    Bit ``x + y * width`` is the point (x, y).  One pass up the rows collects
-    each row's lowest and highest set bit; a row of the hull then runs from
-    the ceiling of the lower convex envelope of the row minima to the floor
-    of the upper concave envelope of the row maxima.  ``fill & ~layer`` is
-    what is missing.
+    Bit ``x + y * width`` is the point (x, y).  One pass goes up the rows.
     """
-    if not layer:
-        return 0
     y = ((layer & -layer).bit_length() - 1) // width
     shift = y * width
     rest, full = layer >> shift, (1 << width) - 1
-    lows, neg_highs = [], []  # (y, min x) and (y, -max x) of each nonempty row
+    lows, neg_highs = [], []
     while rest:
         row = rest & full
         if row:
@@ -348,6 +365,48 @@ def hull_fill(layer: int, width: int) -> int:
             neg_highs.append((y, 1 - row.bit_length()))
         rest >>= width
         y += 1
+    return shift, lows, neg_highs
+
+
+def hull_count(layer: int, width: int) -> int:
+    """The number of lattice points in the convex hull of a planar bitset, by Pick's theorem.
+
+    Bit ``x + y * width`` is the point (x, y).  The lower chains of the row
+    minima and of the negated row maxima are the hull's left and right
+    boundaries; walked up the one and down the other they close into its
+    corner ring.  With 2A the ring's shoelace sum and B the lattice points
+    on it, the sum of the gcds of its steps, the hull holds A + B/2 + 1
+    points.  A point, a row or a column makes a ring that goes out and back
+    along itself: A is 0 and B counts every boundary point twice, so the
+    same formula counts it.  A layer is lattice-convex exactly when this
+    equals its popcount, and no fill is built to say so.
+    """
+    if not layer:
+        return 0
+    _, lows, neg_highs = _row_ends(layer, width)
+    ring = _lower_chain(lows) + [(y, -x) for y, x in reversed(_lower_chain(neg_highs))]
+    twice_area = boundary = 0
+    ay, ax = ring[-1]
+    for by, bx in ring:
+        twice_area += ax * by - bx * ay
+        boundary += gcd(bx - ax, by - ay)
+        ay, ax = by, bx
+    return (abs(twice_area) + boundary) // 2 + 1
+
+
+def hull_fill(layer: int, width: int) -> int:
+    """The lattice points of the convex hull of a planar bitset, as a bitset.
+
+    Bit ``x + y * width`` is the point (x, y).  A row of the hull runs from
+    the ceiling of the lower convex envelope of the row minima to the floor
+    of the upper concave envelope of the row maxima.  ``fill & ~layer`` is
+    what is missing.  Verdicts compare ``hull_count`` with the layer's
+    popcount instead; the fill is built only to list the missing points of a
+    layer that is not convex.
+    """
+    if not layer:
+        return 0
+    shift, lows, neg_highs = _row_ends(layer, width)
     fill = 0
     for lo, neg_hi in zip(_ceil_envelope(lows), _ceil_envelope(neg_highs)):
         fill |= ((1 << (1 - neg_hi - lo)) - 1) << (shift + lo)

@@ -395,6 +395,21 @@ class TestErrorHandling:
         assert len(err.encode()) < 200
         assert "table budget" in err and "(4001 digits)" in err
 
+    @pytest.mark.parametrize(
+        "argv, cause",
+        [
+            (["cornercut", "-d", "1", "-B", "1" + "0" * 4000], "bound 1000... (4001 digits) is above"),
+            (["verify-grid", "--grid", "1" + "0" * 4000 + "x1"], "grid has 2000... (4001 digits) cells"),
+        ],
+        ids=["cornercut-bound", "grid-cells"],
+    )
+    def test_huge_bound_and_grid_are_abridged(self, capsys, argv, cause):
+        # printed in full, each number made a 4 kB message
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert len(err.encode()) < 200
+        assert err.startswith("error: ") and cause in err
+
     def test_duplicate_point_named(self, capsys, tmp_path):
         dup = tmp_path / "dup.json"
         dup.write_text('{"dim": 2, "points": [[0, 1], [0, 1]]}')
@@ -480,3 +495,26 @@ def test_planar_commands_never_load_numpy(tmp_path):
     outcome = json.loads(result.stdout)
     assert outcome["codes"] == [0, 0, 2, 0, 0, 0, 0, 0]
     assert not outcome["numpy_loaded"]
+
+
+SERIAL_RUN = """
+import contextlib, io, json, sys
+import wedgepower.cli
+at_import = "multiprocessing" in sys.modules
+with contextlib.redirect_stdout(io.StringIO()):
+    code = wedgepower.cli.main(["verify-grid", "--grid", "2x2", "--jobs", "1"])
+print(json.dumps({"code": code, "at_import": at_import, "after_run": "multiprocessing" in sys.modules}))
+"""
+
+
+def test_serial_runs_never_load_multiprocessing():
+    # its import costs milliseconds of every command's start; only a worker pool needs it
+    result = _run_python(["-c", SERIAL_RUN])
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == {"code": 0, "at_import": False, "after_run": False}
+
+
+def test_a_worker_pool_prints_the_pinned_grid_bytes():
+    result = _run_python(["-m", "wedgepower", "verify-grid", "--grid", "4x4", "--jobs", "2"])
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == (DATA / "verify-grid-4x4.json").read_text()

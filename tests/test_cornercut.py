@@ -1,6 +1,6 @@
 import pytest
 
-from wedgepower import truncated_quadrant, verify_corner_cut, wedge_power
+from wedgepower import PointConfig, truncated_quadrant, verify_corner_cut, wedge_power
 
 import oracles
 
@@ -26,6 +26,12 @@ class TestTruncatedQuadrant:
     def test_contents(self):
         quadrant = truncated_quadrant(2)
         assert set(quadrant) == {(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)}
+
+    @pytest.mark.parametrize("bound", range(31))
+    def test_is_the_sorted_configuration_of_its_points(self, bound):
+        # built without PointConfig.of's checks, it must be what they would give
+        points = [(x, y) for x in range(bound + 1) for y in range(bound + 1) if x + y <= bound]
+        assert truncated_quadrant(bound) == PointConfig.of(reversed(points), dim=2)
 
     def test_negative_bound_rejected(self):
         with pytest.raises(ValueError):

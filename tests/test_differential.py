@@ -15,7 +15,8 @@ of ``points_of`` and ``coords``' reading of the bit grid must list a
 bitset's points as the numpy unpacking does, and a digest must not depend on
 the size of the slabs it is hashed in.  The
 two-envelope ``hull_fill`` must give the earlier ring kernel's fill bit for
-bit, and a table's ``check_convex`` the tuple-path report.  The
+bit, ``hull_count``'s Pick count must be the size of that fill and of the
+oracle's hull, and a table's ``check_convex`` the tuple-path report.  The
 row-interval grid enumerator must list what the mask loop over all 2^cells
 masks lists, and on grids past that loop's reach it must hold the hull
 lattice points of random grid points.
@@ -64,7 +65,7 @@ from wedgepower import (
 )
 from wedgepower import geometry, harness
 import wedgepower.wedge as wedge_module
-from wedgepower.wedge import _reflect, hull_fill
+from wedgepower.wedge import _reflect, hull_count, hull_fill
 
 import oracles
 
@@ -224,17 +225,43 @@ slivers = st.lists(st.tuples(st.integers(0, 3), st.integers(-9, 9)), min_size=1,
 margins = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 4))
 
 
+def _padded(points, margin):
+    """Points as a bitset in a wider box, with empty columns left and right and rows below: (bits, width)."""
+    left, right, below = margin
+    bits, width, _ = _bitset(points)
+    padded, full = 0, (1 << width) - 1
+    for y in range(bits.bit_length() // width + 1):
+        padded |= ((bits >> (y * width)) & full) << ((y + below) * (left + width + right) + left)
+    return padded, left + width + right
+
+
 @given(st.one_of(planar_sets, slivers), margins)
 @example([(0, 0), (1, 3)], (0, 0, 0))
 @example([(0, 0), (2, 5), (1, 1)], (2, 1, 3))
 def test_hull_fill_matches_the_ring_kernel_in_a_padded_box(raw, margin):
-    """The layer sits inside a wider box, with empty columns left and right and rows below."""
-    left, right, below = margin
-    bits, width, _ = _bitset(sorted(set(raw)))
-    padded, full = 0, (1 << width) - 1
-    for y in range(bits.bit_length() // width + 1):
-        padded |= ((bits >> (y * width)) & full) << ((y + below) * (left + width + right) + left)
-    _assert_same_fill(padded, left + width + right)
+    _assert_same_fill(*_padded(sorted(set(raw)), margin))
+
+
+# --- the Pick count against the fill and the hull oracle ---------------------
+
+
+@given(st.one_of(planar_sets, slivers), margins)
+@example([(3, 1)], (0, 0, 0))  # a point in a box of width 1
+@example([(0, 0), (0, 3), (0, 7)], (0, 0, 2))  # a column of width 1, empty rows inside it
+@example([(-2, 0), (3, 0)], (1, 2, 1))  # a row
+@example([(0, 0), (2, 1), (4, 2), (6, 3)], (0, 1, 0))  # collinear, off the axes
+@example([(0, 0), (1, 3)], (0, 0, 0))  # rows 1 and 2 hold no hull point
+@example([(0, 0), (1, 3), (1, 4)], (1, 0, 0))  # empty rows inside a triangle
+@example([(0, 0), (4, 0), (0, 4), (4, 4)], (0, 0, 0))  # a square, corners only
+def test_hull_count_is_the_size_of_the_hull_fill(raw, margin):
+    points = sorted(set(raw))
+    layer, width = _padded(points, margin)
+    count = hull_count(layer, width)
+    assert count == hull_fill(layer, width).bit_count() == len(oracles.hull_lattice_points(points))
+
+
+def test_hull_count_of_an_empty_layer_is_zero():
+    assert hull_count(0, 3) == 0
 
 
 def test_hull_fill_leaves_lattice_free_rows_empty():

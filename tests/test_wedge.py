@@ -147,7 +147,29 @@ class TestConvexityCheck:
         with pytest.raises(DimensionError):
             table.hull_fill(1)
         with pytest.raises(DimensionError):
+            table.hull_count(1)
+        with pytest.raises(DimensionError):
             table.check_convex(1)
+
+    def test_a_convex_layer_needs_no_fill(self, monkeypatch):
+        # the verdict compares the hull count with the popcount; a fill is built only to list missing points
+        table = SubsetSumTable([(x, y) for x in range(5) for y in range(5 - x)], 4, dim=2)
+        expected = [table.count(size) for size in range(5)]
+
+        def refuse(*args):
+            raise AssertionError("a hull fill was built for a convex layer")
+
+        monkeypatch.setattr(SubsetSumTable, "hull_fill", refuse)
+        monkeypatch.setattr(wedge_module, "hull_fill", refuse)
+        reports = [table.check_convex(size) for size in range(5)]
+        assert [(r.convex, r.missing.points, r.cardinality) for r in reports] == [(True, (), n) for n in expected]
+
+    def test_a_layer_that_is_not_convex_lists_its_fill_gaps(self):
+        table = SubsetSumTable([(0, 0), (2, 0), (0, 2), (2, 2)], 1)
+        report = table.check_convex(1)
+        assert (report.convex, report.cardinality) == (False, 4)
+        assert report.missing.points == ((0, 1), (1, 0), (1, 1), (1, 2), (2, 1))
+        assert table.hull_count(1) == table.hull_fill(1).bit_count() == 9
 
     def test_report_serialization(self):
         report = check_lattice_convex(wedge_power(exceptional_triangle(1), 2))
