@@ -7,6 +7,7 @@ p-good, a violated grid run), and 1 for usage, input or budget errors.
 """
 
 import argparse
+import re
 import sys
 from typing import Optional, Sequence
 
@@ -26,6 +27,14 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # type: ignore[override]
         raise UsageError(f"{self.prog}: {message}")
+
+
+def _abridged_numbers(text: str) -> str:
+    """``text`` with each run of more than 15 digits cut as ``wedge._abridged`` cuts a count.
+
+    The digits are read as text: an echoed argument may be past the interpreter's limit on int().
+    """
+    return re.sub(r"\d{16,}", lambda run: f"{run[0][:4]}... ({len(run[0])} digits)", text)
 
 
 def _write(text: str, path: Optional[str]) -> None:
@@ -54,10 +63,8 @@ def _cmd_wedge(args: argparse.Namespace) -> int:
     config = _single_input(args)
     in_range = 0 <= args.p <= len(config)
     if not in_range:
-        print(
-            f"note: no subsets of size {args.p} in a {len(config)}-point set; emitting the empty set",
-            file=sys.stderr,
-        )
+        note = f"note: no subsets of size {args.p} in a {len(config)}-point set; emitting the empty set"
+        print(_abridged_numbers(note), file=sys.stderr)
     result = wedge_power(config, args.p)
     payload = config_to_json(result)
     payload["in_range"] = in_range  # extra key, ignored when read back as a configuration
@@ -145,10 +152,11 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="wedgepower", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, func, **kwargs):
+    def add(name: str, func, reads_input: bool = True, **kwargs):
         p = sub.add_parser(name, **kwargs)
         p.set_defaults(func=func)
-        p.add_argument("--input", action="append", metavar="PATH", help="point configuration JSON")
+        if reads_input:
+            p.add_argument("--input", action="append", metavar="PATH", help="point configuration JSON")
         p.add_argument("--output", metavar="PATH", help="write result here instead of stdout")
         return p
 
@@ -159,18 +167,18 @@ def build_parser() -> _Parser:
 
     add("verify-polygon", _cmd_verify_polygon, help="convexity of every wedge power of one configuration")
 
-    p = add("verify-grid", _cmd_verify_grid, help="exhaustive check over a small grid")
+    p = add("verify-grid", _cmd_verify_grid, reads_input=False, help="exhaustive check over a small grid")
     p.add_argument("--grid", required=True, metavar="WxH")
     p.add_argument("--jobs", type=int, default=1)
 
     p = add("p-good", _cmd_p_good, help="common wedge point of all one-vertex deletions")
     p.add_argument("-p", type=int, required=True, help="subset size")
 
-    p = add("cornercut", _cmd_cornercut, help="corner-cut convexity at one truncation")
+    p = add("cornercut", _cmd_cornercut, reads_input=False, help="corner-cut convexity at one truncation")
     p.add_argument("-d", type=int, required=True, help="subset size")
     p.add_argument("-B", type=int, required=True, help="truncation bound")
 
-    add("counterexample3d", _cmd_counterexample3d, help="the three-dimensional witness run")
+    add("counterexample3d", _cmd_counterexample3d, reads_input=False, help="the three-dimensional witness run")
 
     add("equivalent", _cmd_equivalent, help="a unimodular map between two configurations, read off their normal forms")
 
@@ -186,10 +194,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
         return args.func(args)
     except UsageError as exc:
-        print(str(exc), file=sys.stderr)
+        print(_abridged_numbers(str(exc)), file=sys.stderr)
         return 1
     except (BudgetError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(_abridged_numbers(f"error: {exc}"), file=sys.stderr)
         return 1
     except MemoryError:
         print("error: out of memory; the input needs more than this machine can allocate", file=sys.stderr)

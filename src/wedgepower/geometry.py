@@ -10,7 +10,6 @@ dimension 3 has configurations, maps and determinants only.
 
 import bisect
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Iterator, Optional, Sequence
 
 Point = tuple[int, ...]
@@ -163,11 +162,6 @@ class LinearFunctional:
         return sum(c * x for c, x in zip(self.coeffs, point))
 
 
-def cross(o: Point, a: Point, b: Point) -> int:
-    """Twice the signed area of the triangle (o, a, b); positive means a left turn."""
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
 def _minor(matrix: Sequence[Sequence[int]], i: int, j: int) -> tuple[tuple[int, ...], ...]:
     """The matrix without row ``i`` and column ``j``."""
     return tuple(tuple(v for c, v in enumerate(row) if c != j) for r, row in enumerate(matrix) if r != i)
@@ -186,8 +180,8 @@ def _det(matrix: Sequence[Sequence[int]]) -> int:
 def _lower_chain(pts: Iterable[Point]) -> list[Point]:
     """Strict corners of the lower hull of points sorted left to right (monotone chain).
 
-    The orientation test is ``cross(chain[-2], chain[-1], p) > 0``, written
-    out: a call per step would cost more than the test.
+    Before p is appended, corners are popped until chain[-2], chain[-1], p
+    turn left, that is until the cross product of the two steps is positive.
     """
     chain: list[Point] = []
     for p in pts:
@@ -357,17 +351,20 @@ def exceptional_triangle(index: int) -> PointConfig:
 def exception_index(config: PointConfig) -> Optional[int]:
     """The index k if ``config`` is equivalent to the k-th exceptional triangle, else None.
 
-    Only one k can possibly match a given configuration (the triangle with
-    index k has exactly k+3 points), so comparing two normal forms decides.
-    Each of these triangles has three strict hull corners, a count lattice
-    maps keep, so any other set is turned down before its normal form.
+    Only one k can possibly match a given configuration: the triangle with
+    index k has exactly k+3 points.  It has three strict hull corners, a
+    count lattice maps keep, so any other set is turned down first.  Its
+    three edges are primitive and its twice-area is 2k+1, so its corner form
+    is ((0, 0), (1, 0), (2, 2k+1)), and by Pick's theorem it holds no lattice
+    points beyond its k+3.  A set of k+3 points whose corners have that form
+    is therefore all of them, and the three corners decide.
     """
     if config.dim != 2:
         raise DimensionError("exception detection is for planar configurations")
     k = len(config) - 3
     if k < 1 or len(_hull_ring(config.points)) != 3:
         return None
-    return k if normal_form(config) == _exceptional_normal_form(k) else None
+    return k if _corner_form(config) == ((0, 0), (1, 0), (2, 2 * k + 1)) else None
 
 
 def _corner_form(config: PointConfig) -> tuple[Point, ...]:
@@ -381,7 +378,3 @@ def _corner_form(config: PointConfig) -> tuple[Point, ...]:
     """
     return tuple(min((image for image, _, _ in _frames(config, ring_only=True)), default=()))
 
-
-@lru_cache(maxsize=64)
-def _exceptional_normal_form(index: int) -> tuple[Point, ...]:
-    return normal_form(exceptional_triangle(index))

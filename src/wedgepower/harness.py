@@ -39,9 +39,6 @@ class GridSpec:
     def cell_count(self) -> int:
         return (self.width + 1) * (self.height + 1)
 
-    def cells(self) -> list[Point]:
-        return [(x, y) for x in range(self.width + 1) for y in range(self.height + 1)]
-
 
 def enumerate_lattice_convex(grid: GridSpec) -> list[PointConfig]:
     """All lattice-convex subsets of the grid, one per translation class.
@@ -84,19 +81,20 @@ def enumerate_lattice_convex(grid: GridSpec) -> list[PointConfig]:
     return [PointConfig(2, points) for points in found]
 
 
-def _tables(config: PointConfig, depth: int, deletion_depth: int) -> tuple[SubsetSumTable, list[SubsetSumTable]]:
-    """The base table at ``depth`` and each vertex deletion's at ``deletion_depth`` <= ``depth``.
+def _tables(config: PointConfig, depth: int) -> tuple[SubsetSumTable, list[SubsetSumTable]]:
+    """The base table and each vertex deletion's, all at ``depth``.
 
     All of them share one box, so wedges compare with integer AND and OR.
     Every deletion keeps the points that are not vertices, so they are fed
     once, into a stem in the base table's box; each deletion table is the
     stem with the other vertices fed in.  Layers are sets of sums, which
-    do not depend on the order points are fed in.
+    do not depend on the order points are fed in.  A deletion has one
+    point fewer than the base, so at depth N its layer N is empty.
     """
     vertices = vertex_set(config)
     base = SubsetSumTable(config.points, depth, dim=config.dim)
     inner = [q for q in config.points if q not in vertices]
-    stem = base._derived(inner, [base.layer(0)] + [0] * deletion_depth)
+    stem = base._derived(inner, [base.layer(0)] + [0] * depth)
     return base, [stem._derived([w for w in vertices if w != v]) for v in vertices]
 
 
@@ -111,7 +109,7 @@ def is_p_good(config: PointConfig, subset_size: int) -> Optional[Point]:
         raise ValueError("p-goodness needs at least two points")
     if not 1 <= subset_size <= len(config) - 1:
         raise ValueError("subset size must be between 1 and N-1")
-    base, deletions = _tables(config, subset_size, subset_size)
+    base, deletions = _tables(config, subset_size)
     common = _common_layer(deletions, subset_size)
     return min(base.points_of(common)) if common else None
 
@@ -131,7 +129,7 @@ def union_decomposition_holds(config: PointConfig, subset_size: int) -> bool:
         raise ValueError("subset size must be between 1 and N")
     if config.dim != 2:
         raise DimensionError("union decomposition is checked for planar configurations")
-    base, deletions = _tables(config, subset_size, min(subset_size, len(config) - 1))
+    base, deletions = _tables(config, subset_size)
     return _hull_is_covered(base, deletions, subset_size, base.hull_count(subset_size))
 
 
@@ -140,23 +138,14 @@ def _hull_is_covered(base: SubsetSumTable, deletions: list[SubsetSumTable], size
 
     Each deletion layer lies in the base layer and so in its hull, so the
     union of the deletion layers covers the hull exactly when it has
-    ``count`` points.  Only when it has fewer is the hull fill built, for
-    _fill_is_covered to try the deletions' fills.
-    """
-    if reduce(or_, (table.layer(size) for table in deletions)).bit_count() == count:
-        return True
-    return _fill_is_covered(base.hull_fill(size), deletions, size)
-
-
-def _fill_is_covered(whole: int, deletions: list[SubsetSumTable], size: int) -> bool:
-    """Is the hull fill ``whole`` inside the union of the deletion tables' fills at ``size``?
-
-    Each layer lies inside its own fill, so the union of the layers is
-    tried first, and the fills are computed only when it leaves a point out.
+    ``count`` points.  Only when it has fewer is the hull fill built, and
+    the deletions' fills, each holding its own layer, join the union one at
+    a time until it covers the fill.
     """
     covered = reduce(or_, (table.layer(size) for table in deletions))
-    if not whole & ~covered:
+    if covered.bit_count() == count:
         return True
+    whole = base.hull_fill(size)
     for table in deletions:
         covered |= table.hull_fill(size)
         if not whole & ~covered:
@@ -211,8 +200,7 @@ def verify_polygon(config: PointConfig) -> TheoremReport:
 def _theorem_report(config: PointConfig, base: SubsetSumTable) -> tuple[TheoremReport, list[int]]:
     """verify_polygon's report from a table of depth N//2, and the hull count of each size it read."""
     n = len(config)
-    counts = [base.hull_count(p) for p in range(base.depth + 1)]
-    reports = [base._convexity(p, count) for p, count in enumerate(counts)]
+    reports = [base.check_convex(p) for p in range(base.depth + 1)]
     per_size = [(p, report.convex, report.missing.points) for p, report in enumerate(reports)]
     total = config.total()
     for p in range(len(reports), n + 1):
@@ -225,6 +213,8 @@ def _theorem_report(config: PointConfig, base: SubsetSumTable) -> tuple[TheoremR
     failures = {p for p, convex, _ in per_size if not convex}
     expected = {2, n - 2} if k is not None else set()
     verdict = "conforms" if failures == expected else "violates"
+    # a layer lies in its hull fill, so its hull holds its points and the ones it misses
+    counts = [report.cardinality + len(report.missing) for report in reports]
     return TheoremReport(config, n, k, tuple(per_size), verdict), counts
 
 
@@ -262,7 +252,7 @@ class GridSummary:
 def _examine_config(config: PointConfig) -> tuple[Optional[int], list[tuple[str, Optional[int]]]]:
     problems: list[tuple[str, Optional[int]]] = []
     n = len(config)
-    base, deletions = _tables(config, n // 2, n // 2)
+    base, deletions = _tables(config, n // 2)
     report, counts = _theorem_report(config, base)
     if report.verdict != "conforms":
         problems.append(("wedge-convexity", None))

@@ -19,11 +19,11 @@ hull's corners by Pick's theorem; ``hull_fill`` builds the hull's lattice
 points as a bitset, and verdicts build it only to list what a layer that
 is not convex misses.
 
-numpy is imported only by the readers of ``_grid``, a layer unpacked into
-one boolean array over the box: ``coords`` and ``digest``.  Only ``coords``
-turns it into coordinates; the digest reads the bit grid itself.  Every
-other reader of points, ``points_at`` and wedge powers included, goes
-through the pure-Python ``points_of`` and never pays for the import.
+numpy is imported only by ``digest``, which unpacks a layer into one
+boolean array over the box, and by ``coords``, which packs the points of
+``points_at`` into an array.  Every reader of points, wedge powers
+included, goes through the pure-Python ``points_of`` and never pays for
+the import.
 """
 
 import hashlib
@@ -209,15 +209,12 @@ class SubsetSumTable:
         return self.layer(size)
 
     def check_convex(self, size: int) -> "ConvexityReport":
-        """Lattice-convexity of one layer of a table of dimension 1 or 2."""
-        return self._convexity(size, self.hull_count(size))
-
-    def _convexity(self, size: int, count: int) -> "ConvexityReport":
-        """check_convex given the layer's hull count, for callers that use the count again.
+        """Lattice-convexity of one layer of a table of dimension 1 or 2.
 
         The layer is convex when it has as many points as its hull; only a
         layer that is not gets its hull fill built, to list what it misses.
         """
+        count = self.hull_count(size)
         layer = self.layer(size)
         if count == layer.bit_count():
             return ConvexityReport(True, PointConfig(self.dim, ()), count)
@@ -255,15 +252,7 @@ class SubsetSumTable:
         """All sums of ``size`` distinct points as an (n, dim) int64 array, in flat order."""
         import numpy as np
 
-        return np.argwhere(self._grid(self.layer(size)))[:, ::-1] + np.asarray(self.box_lo, dtype=np.int64)
-
-    def _grid(self, layer: int) -> "np.ndarray":
-        """A bitset in this box as a bool array indexed last coordinate first: ``grid[z, y, x]`` in 3D."""
-        import numpy as np
-
-        raw = layer.to_bytes((self.total_cells + 7) // 8, "little")
-        bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=self.total_cells, bitorder="little")
-        return bits.view(bool).reshape(self._shape[::-1])
+        return np.array(self.points_at(size), dtype=np.int64).reshape(-1, self.dim)
 
     def points_at(self, size: int) -> list[Point]:
         return self.points_of(self.layer(size))
@@ -290,7 +279,9 @@ class SubsetSumTable:
             raise BudgetError(
                 f"digest layout needs {_abridged(cells)} cells, above the table budget of {TABLE_BIT_BUDGET} bits"
             )
-        grid = self._grid(self.layer(size))
+        raw = np.frombuffer(self.layer(size).to_bytes((self.total_cells + 7) // 8, "little"), dtype=np.uint8)
+        grid = np.unpackbits(raw, count=self.total_cells, bitorder="little").view(bool).reshape(self._shape[::-1])
+        del raw  # grid[z, y, x] in 3D, last coordinate first; the layer's bytes are not kept through the slabs
         plane_shape = shape[-2::-1]  # the axes of one plane of the last coordinate, last coordinate first
         plane_cells = prod(plane_shape)
         whole = 8 // gcd(plane_cells, 8)  # the fewest planes that make whole bytes

@@ -21,20 +21,22 @@ cut row by row along its edges, is the reference for the two-envelope
 over all 2^cells masks (``enumerate_by_masks``), for the row-interval one.
 The numpy unpacking that ``SubsetSumTable.points_of`` and ``coords`` once
 ran, flat indices split by ``divmod`` per coordinate (``points_of``), is
-the reference for the byte walk and for ``coords``' reading of the bit grid.
+the reference for the byte walk and for ``coords``.
 The 3D witness's earlier reading of its lowest level, a scan of the
-layer's bit grid one plane at a time (``lowest_level``), is the reference
-for the certificate ``counterexample3d._lowest_slice`` reads off the
-sorted levels.
+layer's bit grid one plane at a time (``lowest_level``, which unpacks the
+grid itself), is the reference for the certificate
+``counterexample3d._lowest_slice`` reads off the sorted levels.
 The full-depth ``verify_polygon`` and ``_examine_config``, which read every
 size 0..N from a depth-N table and ran each check on its own hull fill,
 are kept (``full_depth_verify_polygon``, ``full_depth_examine_config``) as
 the reference for the half-depth reading that reflects sizes above N//2,
-and the plain normal-form comparison (``exception_index_by_normal_form``)
-for ``exception_index``'s corner-count shortcut.  They build their tables
-the earlier way too, each deletion table from its own points
-(``per_deletion_tables``), which is the reference for the deletion tables
-that ``harness._tables`` grows from one shared stem.
+and the plain normal-form comparison with the candidate triangle
+(``exception_index_by_normal_form``) for ``exception_index``'s comparison of
+three corners.  They build their tables the earlier way too, each deletion
+table from its own points (``per_deletion_tables``), which is the reference
+for the deletion tables that ``harness._tables`` grows from one shared
+stem, and they test the union decomposition on the union of the deletion
+tables' hull fills alone.
 """
 
 import hashlib
@@ -55,7 +57,7 @@ from wedgepower import (
     wedge_power,
 )
 from wedgepower import harness
-from wedgepower.geometry import _exceptional_normal_form, _xgcd, normal_form
+from wedgepower.geometry import _xgcd, normal_form
 from wedgepower.harness import TheoremReport
 from wedgepower.wedge import SubsetSumTable as BitsetTable
 from wedgepower.wedge import hull_fill
@@ -123,6 +125,11 @@ def naive_wedge(points, size):
 def naive_wedge_power(config, size):
     """``wedge_power`` by subset enumeration: the sorted configuration of ``naive_wedge``."""
     return PointConfig.of(naive_wedge(config.points, size), dim=config.dim)
+
+
+def grid_cells(grid):
+    """The points of the grid [0, width] x [0, height], x-major."""
+    return [(x, y) for x in range(grid.width + 1) for y in range(grid.height + 1)]
 
 
 def random_unimodular(rng: random.Random, radius: int = 3, shift: int = 4) -> AffineUnimodularMap:
@@ -225,7 +232,7 @@ def union_decomposition_holds(config, subset_size):
 
 def enumerate_lattice_convex(grid):
     """Translation classes of lattice-convex grid subsets, by the tuple-path mask loop."""
-    cells = grid.cells()
+    cells = grid_cells(grid)
     seen = set()
     out = []
     for mask in range(1, 1 << len(cells)):
@@ -249,7 +256,7 @@ def enumerate_by_masks(grid):
     The library's earlier enumerator, which tries all 2^cells masks; the
     row-interval enumerator must give the same list.
     """
-    cells = grid.cells()
+    cells = grid_cells(grid)
     canons = set()
     for mask in range(1, 1 << len(cells)):
         # cells run x-major, so bit x * (height + 1) + y of the mask is (x, y):
@@ -446,7 +453,7 @@ def exception_index_by_normal_form(config):
     k = len(config) - 3
     if k < 1:
         return None
-    return k if normal_form(config) == _exceptional_normal_form(k) else None
+    return k if normal_form(config) == normal_form(exceptional_triangle(k)) else None
 
 
 def full_depth_verify_polygon(config, tables=None):
@@ -494,9 +501,17 @@ def full_depth_examine_config(config):
         good = bool(harness._common_layer(deletions, p))
         if n >= 5 and not good:
             problems.append(("not-p-good", p))
-        if n >= 4 and good and not harness._fill_is_covered(base.hull_fill(p), deletions, p):
+        if n >= 4 and good and not _fills_cover(base.hull_fill(p), deletions, p):
             problems.append(("union-decomposition", p))
     return report.exception_k, problems
+
+
+def _fills_cover(whole, deletions, size):
+    """Is the bitset ``whole`` inside the union of the deletion tables' hull fills at ``size``?"""
+    covered = 0
+    for table in deletions:
+        covered |= table.hull_fill(size)
+    return not whole & ~covered
 
 
 class SubsetSumTable:
@@ -580,7 +595,9 @@ def lowest_level(table, size, coeffs):
     """
     import numpy as np
 
-    grid = table._grid(table.layer(size))
+    raw = np.frombuffer(table.layer(size).to_bytes((table.total_cells + 7) // 8, "little"), dtype=np.uint8)
+    bits = np.unpackbits(raw, count=table.total_cells, bitorder="little")
+    grid = bits.view(bool).reshape(table._shape[::-1])  # grid[z, y, x] in 3D
     lo, coeffs = table.box_lo[::-1], tuple(coeffs)[::-1]  # last coordinate first, as the grid
     # the form on one slice, less the last coordinate's term: a sum of one open grid per other axis
     terms = (np.arange(b, b + n, dtype=np.int64) * a for n, b, a in zip(grid.shape[1:], lo[1:], coeffs[1:]))

@@ -410,6 +410,43 @@ class TestErrorHandling:
         assert len(err.encode()) < 200
         assert err.startswith("error: ") and cause in err
 
+    @pytest.mark.parametrize(
+        "argv, cause",
+        [
+            (["cornercut", "-d", "1", "-B", "1" + "0" * 5000], "-B: invalid int value: '1000... (5001 digits)'"),
+            (["verify-grid", "--grid", "1" + "0" * 5000 + "x1"], "got '1000... (5001 digits)x1'"),
+            (["verify-grid", "--grid", "1x1", "--jobs", "1" + "0" * 5000], "--jobs: invalid int value: '1000..."),
+            (["verify-grid", "--grid", "1x1", "--jobs", "1" + "0" * 4000], "CPU count (1), got 1000... (4001 digits)"),
+            (["verify-grid", "--grid", "1x1", "--jobs", "-1" + "0" * 4000], "got -1000... (4001 digits)"),
+            (["p-good", "--input", DATA / "single-point.json", "-p", "1" + "0" * 5000], "invalid int value: '1000..."),
+        ],
+        ids=["cornercut-bound", "grid", "jobs-unparsed", "jobs", "jobs-negative", "p-good-size"],
+    )
+    def test_huge_numbers_are_echoed_abridged(self, capsys, monkeypatch, argv, cause):
+        # printed in full, each number made a 4 to 5 kB line; past 4,300 digits the
+        # interpreter will not convert it, so it is abridged as text
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert len(err.encode()) < 200
+        assert cause in err
+
+    def test_huge_size_note_is_abridged(self, capsys, e1_file):
+        code, out, err = run(capsys, "wedge", "--input", e1_file, "-p", "1" + "0" * 4000)
+        assert code == 0 and json.loads(out)["in_range"] is False
+        assert len(err.encode()) < 200
+        assert err == "note: no subsets of size 1000... (4001 digits) in a 4-point set; emitting the empty set\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["verify-grid", "--grid", "1x1"], ["cornercut", "-d", "1", "-B", "2"], ["counterexample3d"]],
+        ids=["verify-grid", "cornercut", "counterexample3d"],
+    )
+    def test_input_is_a_usage_error_where_nothing_is_read(self, capsys, e1_file, argv):
+        code, out, err = run(capsys, *argv, "--input", e1_file)
+        assert (code, out) == (1, "")
+        assert "unrecognized arguments: --input" in err
+
     def test_duplicate_point_named(self, capsys, tmp_path):
         dup = tmp_path / "dup.json"
         dup.write_text('{"dim": 2, "points": [[0, 1], [0, 1]]}')

@@ -11,7 +11,7 @@ must report what examining every member would.
 The subset-sum table's tight box must give the layers, counts, membership
 answers and digests of the table in its earlier, larger box, and a
 translated table's layers must be the original's, moved, and the byte walk
-of ``points_of`` and ``coords``' reading of the bit grid must list a
+of ``points_of`` and ``coords`` must list a
 bitset's points as the numpy unpacking does, and a digest must not depend on
 the size of the slabs it is hashed in.  The
 two-envelope ``hull_fill`` must give the earlier ring kernel's fill bit for
@@ -23,8 +23,10 @@ lattice points of random grid points.
 The grid examination reads a table of depth N//2 and reflects the sizes
 above it; its reports and problem lists must equal those of the full-depth
 reading, on every grid orbit up to 3x3 and on random lattice-convex sets,
-and ``exception_index``'s corner count must turn away only sets that the
-normal-form comparison turns away too.
+and ``exception_index``, which compares three hull corners, must agree
+with the normal-form comparison on them and on random lattice triangles
+that hold only some of their lattice points, and never compute a normal
+form.
 The deletion tables the examination grows from one stem of the points that
 are not vertices must equal, bit for bit, tables built from each deletion's
 own points; and the grid run's grouping by corner form must make the orbits
@@ -671,6 +673,25 @@ def test_exception_index_agrees_with_the_normal_form_comparison():
             assert exception_index(apply_map(oracles.random_unimodular(rng), exceptional_triangle(k))) == k
 
 
+def test_exception_index_agrees_with_the_normal_form_comparison_on_partial_triangles():
+    # a random lattice triangle in [-3, 3]^2 holds its corners and a random share of its
+    # other lattice points, so most sets are not lattice-convex and many are triangles of
+    # k + 3 points that are not the k-th exceptional one
+    rng = random.Random(23)
+    exceptional = checked = 0
+    while checked < 4000:
+        corners = [(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(3)]
+        if oracles._cross(*corners) == 0:
+            continue
+        others = [q for q in oracles.hull_lattice_points(corners) if q not in corners]
+        config = PointConfig.of(corners + rng.sample(others, rng.randint(0, len(others))))
+        expected = oracles.exception_index_by_normal_form(config)
+        assert exception_index(config) == expected, config
+        exceptional += expected is not None
+        checked += 1
+    assert exceptional >= 100
+
+
 def test_exception_index_turns_down_other_corner_counts_before_a_normal_form(monkeypatch):
     def refuse(config):
         raise AssertionError(f"normal form computed for {config}")
@@ -681,30 +702,35 @@ def test_exception_index_turns_down_other_corner_counts_before_a_normal_form(mon
     line = PointConfig.of([(x, 2 * x + 1) for x in range(5)])  # k = 2
     for config in (square, pentagon, line):
         assert exception_index(config) is None
-    # a triangle of k + 3 points still reaches the comparison
-    with pytest.raises(AssertionError, match="normal form computed"):
-        exception_index(truncated_quadrant(2))
+    # triangles of k + 3 points are decided by their three corners alone: one of twice-area
+    # 4, and the third exceptional triangle short of (1, 0), whose corners are not the second's
+    short = PointConfig.of(q for q in exceptional_triangle(3) if q != (1, 0))
+    for config in (truncated_quadrant(2), short):
+        assert len(geometry._hull_ring(config.points)) == 3
+        assert exception_index(config) is None
+    rng = random.Random(5)
+    for k in range(1, 7):
+        assert exception_index(apply_map(oracles.random_unimodular(rng), exceptional_triangle(k))) == k
 
 
 # --- deletion tables grown from one stem against independent builds -----------
 
 
-def _assert_stem_tables_match(config, depth, deletion_depth):
-    base, deletions = harness._tables(config, depth, deletion_depth)
-    reference_base, references = oracles.per_deletion_tables(config, depth, deletion_depth)
+def _assert_stem_tables_match(config, depth):
+    base, deletions = harness._tables(config, depth)
+    reference_base, references = oracles.per_deletion_tables(config, depth, depth)
     assert vars(base) == vars(reference_base)
     assert len(deletions) == len(references)
     for table, reference in zip(deletions, references):
         # every attribute: box, depth, digest box and each layer's bits
-        assert vars(table) == vars(reference), (config, depth, deletion_depth)
+        assert vars(table) == vars(reference), (config, depth)
 
 
 def _assert_stem_tables_match_at_every_use(config):
     """The depths the examination, is_p_good and union_decomposition_holds build at."""
     n = len(config)
-    uses = {(n // 2, n // 2), (n, n - 1)} | {(p, p) for p in range(1, n)}
-    for depth, deletion_depth in sorted(uses):
-        _assert_stem_tables_match(config, depth, deletion_depth)
+    for depth in sorted({n // 2, n} | set(range(1, n))):
+        _assert_stem_tables_match(config, depth)
 
 
 def test_stem_tables_match_independent_builds_on_every_orbit(orbit_representatives):
@@ -713,7 +739,7 @@ def test_stem_tables_match_independent_builds_on_every_orbit(orbit_representativ
 
 
 @given(lattice_convex_sets())
-@example(exceptional_triangle(1))  # one stem point, fewer than deletion depths 2 and 3
+@example(exceptional_triangle(1))  # one stem point, fewer than depths 2 to 4
 @example(PointConfig.of([(0, 0)]))  # no stem point, one empty deletion
 @example(PointConfig.of([(0, 0), (1, 2), (2, 4), (3, 6)]))  # collinear: two vertices
 def test_stem_tables_match_independent_builds(config):
@@ -734,7 +760,7 @@ def test_stem_tables_match_independent_builds_in_dimensions_1_and_3(config):
     if config.dim == 3:
         # vertex sets are planar, so no deletion table is built and p-goodness is refused
         with pytest.raises(DimensionError, match="dimension 3"):
-            harness._tables(config, 1, 1)
+            harness._tables(config, 1)
         for p in range(1, len(config)):
             with pytest.raises(DimensionError, match="dimension 3"):
                 is_p_good(config, p)

@@ -21,7 +21,7 @@ from wedgepower import (
     truncated_quadrant,
     vertex_set,
 )
-from wedgepower.geometry import _corner_form, _hull_ring, cross
+from wedgepower.geometry import _corner_form, _hull_ring
 from wedgepower.render import render_svg
 
 import oracles
@@ -69,7 +69,7 @@ class TestConvexHull:
         ring = _hull_ring(PointConfig.of([(0, 0), (1, 0), (0, 1), (1, 1)]).points)
         assert len(ring) == 4
         for i in range(len(ring)):
-            assert cross(ring[i - 2], ring[i - 1], ring[i]) > 0
+            assert oracles._cross(ring[i - 2], ring[i - 1], ring[i]) > 0
 
     def test_collinear_input_gives_segment(self):
         assert _hull_ring(PointConfig.of([(0, 0), (1, 0), (2, 0)]).points) == [(0, 0), (2, 0)]
@@ -91,7 +91,7 @@ class TestConvexHull:
         assert len(set(ring)) == len(ring)
         if len(ring) > 2:
             for i in range(len(ring)):
-                assert cross(ring[i - 2], ring[i - 1], ring[i]) > 0
+                assert oracles._cross(ring[i - 2], ring[i - 1], ring[i]) > 0
 
 
 class TestLatticePoints:
@@ -289,6 +289,14 @@ class TestExceptionIndex:
     def test_closed_form_is_the_hull_lattice_points(self, k):
         corners = PointConfig.of([(0, 1), (k, 0), (-1, -1)])
         assert exceptional_triangle(k) == hull_points(corners)
+
+    def test_corner_form_is_closed(self):
+        # exception_index compares a triangle's corners with this form: three primitive
+        # edges round twice-area 2k + 1, so by Pick's theorem exactly k + 3 lattice points
+        for k in range(1, 201):
+            form = ((0, 0), (1, 0), (2, 2 * k + 1))
+            assert _corner_form(exceptional_triangle(k)) == form, k
+            assert len(oracles.hull_lattice_points(form)) == k + 3, k
 
     def test_detected_through_random_maps(self):
         rng = random.Random(99)

@@ -20,7 +20,7 @@ from wedgepower import (
     vertex_set,
     wedge_power,
 )
-from wedgepower.harness import GridSummary, Violation, _fill_is_covered, _tables
+from wedgepower.harness import GridSummary, Violation, _hull_is_covered, _tables
 from wedgepower.wedge import SubsetSumTable
 
 import oracles
@@ -138,36 +138,36 @@ class TestUnionDecomposition:
 
 
 class TestFillIsCovered:
-    """The union check tries the deletion layers first and their hull fills only after."""
+    """``_hull_is_covered``: is the hull fill inside the deletions' hulls?  Layers are counted, then fills built."""
 
     @staticmethod
     def _case(config, size):
-        base, deletions = _tables(config, size, size)
+        base, deletions = _tables(config, size)
         layers = reduce(or_, (table.layer(size) for table in deletions))
         fills = reduce(or_, (table.hull_fill(size) for table in deletions))
-        return base.hull_fill(size), deletions, layers, fills
+        return base, deletions, base.hull_fill(size), layers, fills
 
     def test_fills_cover_what_the_layers_leave_out(self):
         # the one orbit of the 3x2 grid whose union check needs the fills
         config = PointConfig.of([(0, 0), (1, 1), (1, 2), (2, 1), (3, 1)])
-        whole, deletions, layers, fills = self._case(config, 2)
+        base, deletions, whole, layers, fills = self._case(config, 2)
         assert whole & ~layers and not whole & ~fills
-        assert _fill_is_covered(whole, deletions, 2)
+        assert _hull_is_covered(base, deletions, 2, base.hull_count(2))
 
     def test_neither_layers_nor_fills_cover(self):
-        whole, deletions, _, fills = self._case(exceptional_triangle(1), 2)
+        base, deletions, whole, _, fills = self._case(exceptional_triangle(1), 2)
         assert whole & ~fills
-        assert not _fill_is_covered(whole, deletions, 2)
+        assert not _hull_is_covered(base, deletions, 2, base.hull_count(2))
 
     def test_covering_layers_need_no_fill(self, monkeypatch):
-        whole, deletions, layers, _ = self._case(grid_config(3), 2)
+        base, deletions, whole, layers, _ = self._case(grid_config(3), 2)
         assert not whole & ~layers
 
         def refuse(table, size):
-            raise AssertionError("a deletion table's hull fill was computed")
+            raise AssertionError("a hull fill was computed")
 
         monkeypatch.setattr(SubsetSumTable, "hull_fill", refuse)
-        assert _fill_is_covered(whole, deletions, 2)
+        assert _hull_is_covered(base, deletions, 2, base.hull_count(2))
 
 
 class TestVerifyPolygon:
@@ -260,7 +260,7 @@ class TestInclusionMonotonicity:
     def test_witness_survives_in_supersets(self):
         # a goodness witness for a polygon works for any larger polygon
         grid = GridSpec(2, 2)
-        cells = grid.cells()
+        cells = oracles.grid_cells(grid)
         full = PointConfig.of(cells)
         samples = []
         for mask in range(1, 1 << 9):

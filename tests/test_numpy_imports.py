@@ -2,8 +2,9 @@
 
 Every module is parsed and searched for an import of numpy anywhere in it,
 inside functions and ``TYPE_CHECKING`` blocks included.  Only ``wedge.py``
-may have one: its bit-grid readers, ``coords`` and ``digest``, are the
-package's only numpy code.
+may have one: ``digest``, which unpacks a layer into a bit grid, is the
+package's only numpy algorithm, and ``coords`` only packs the points of
+``points_at`` into an array.
 """
 
 import ast
