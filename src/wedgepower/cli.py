@@ -29,12 +29,16 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
-def _abridged_numbers(text: str) -> str:
-    """``text`` with each run of more than 15 digits cut as ``wedge._abridged`` cuts a count.
+def _abridged_runs(text: str) -> str:
+    """``text`` with each overlong run cut, so an echoed argument or path keeps the line short.
 
-    The digits are read as text: an echoed argument may be past the interpreter's limit on int().
+    A run of more than 15 digits is cut as ``wedge._abridged`` cuts a count,
+    read as text since an echoed argument may be past the interpreter's
+    limit on int().  Then any run of more than 128 characters, all of them
+    whitespace or quotes or none of them, keeps its first 32 and its length.
     """
-    return re.sub(r"\d{16,}", lambda run: f"{run[0][:4]}... ({len(run[0])} digits)", text)
+    text = re.sub(r"\d{16,}", lambda run: f"{run[0][:4]}... ({len(run[0])} digits)", text)
+    return re.sub(r"[^\s'\"]{129,}|[\s'\"]{129,}", lambda run: f"{run[0][:32]}... ({len(run[0])} characters)", text)
 
 
 def _write(text: str, path: Optional[str]) -> None:
@@ -64,7 +68,7 @@ def _cmd_wedge(args: argparse.Namespace) -> int:
     in_range = 0 <= args.p <= len(config)
     if not in_range:
         note = f"note: no subsets of size {args.p} in a {len(config)}-point set; emitting the empty set"
-        print(_abridged_numbers(note), file=sys.stderr)
+        print(_abridged_runs(note), file=sys.stderr)
     result = wedge_power(config, args.p)
     payload = config_to_json(result)
     payload["in_range"] = in_range  # extra key, ignored when read back as a configuration
@@ -194,10 +198,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
         return args.func(args)
     except UsageError as exc:
-        print(_abridged_numbers(str(exc)), file=sys.stderr)
+        print(_abridged_runs(str(exc)), file=sys.stderr)
         return 1
     except (BudgetError, ValueError, OSError) as exc:
-        print(_abridged_numbers(f"error: {exc}"), file=sys.stderr)
+        print(_abridged_runs(f"error: {exc}"), file=sys.stderr)
         return 1
     except MemoryError:
         print("error: out of memory; the input needs more than this machine can allocate", file=sys.stderr)

@@ -8,7 +8,7 @@ distinct quadrant points.
 """
 
 from .geometry import BudgetError, PointConfig
-from .wedge import ConvexityReport, SubsetSumTable, _abridged
+from .wedge import ConvexityReport, SubsetSumTable, _abridged, _reflect
 
 BOUND_LIMIT = 1_000  # at it, (B + 1)(B + 2) / 2 = 501,501 points are listed before the table budget is checked
 
@@ -27,7 +27,11 @@ def verify_corner_cut(subset_size: int, bound: int) -> ConvexityReport:
 
     Requires bound >= 2 so the truncation contains the unit square, keeping
     it clear of the exceptional family, and refuses a bound above
-    BOUND_LIMIT before listing any point.
+    BOUND_LIMIT before listing any point.  Of N points, a size d above N/2
+    is read as size N - d reflected through the total of the truncation, as
+    ``verify_polygon`` reads its upper sizes: leaving d points out reflects
+    every sum of the other N - d, so the shallower table gives the same
+    verdict, cardinality and reflected missing points.
     """
     if bound < 2:
         raise ValueError("bound must be at least 2")
@@ -38,4 +42,8 @@ def verify_corner_cut(subset_size: int, bound: int) -> ConvexityReport:
         raise ValueError(
             f"subset size must be between 1 and {len(quadrant)} for bound {bound}"
         )
-    return SubsetSumTable(quadrant.points, subset_size, dim=2).check_convex(subset_size)
+    depth = min(subset_size, len(quadrant) - subset_size)
+    report = SubsetSumTable(quadrant.points, depth, dim=2).check_convex(depth)
+    if depth == subset_size:
+        return report
+    return ConvexityReport(report.convex, _reflect(report.missing, quadrant.total()), report.cardinality)

@@ -10,6 +10,7 @@ dimension 3 has configurations, maps and determinants only.
 
 import bisect
 from dataclasses import dataclass
+from math import gcd
 from typing import Iterable, Iterator, Optional, Sequence
 
 Point = tuple[int, ...]
@@ -262,21 +263,16 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def _frames(config: PointConfig, ring_only: bool = False) -> Iterator[tuple[list[Point], tuple[Point, Point], Point]]:
+def _frames(config: PointConfig) -> Iterator[tuple[list[Point], tuple[Point, Point], Point]]:
     """The canonical lattice maps of a planar set, each as (sorted image, matrix, translation).
 
-    The image is of the whole set, or with ``ring_only`` of its strict hull
-    corners alone (of a collinear set, its two ends).
-
-    Each strict hull corner, walked either way round, fixes one lattice map:
-    the corner goes to the origin, its outgoing edge along the positive
-    x-axis with the set above it, and the remaining shear puts the incoming
-    neighbour (a, b) at (a mod b, b).  A collinear set has one frame at each
-    end, pointing along the line, and a single point one translation to the
-    origin.  These rules fix each frame, so if M carries one set onto another,
-    F composed with M's inverse is a frame of the other set with F's image for
-    every frame F of the first: frames with equal images give every equivalence.
-    Frames are yielded one at a time, so a least image holds two, not all.
+    Each strict hull corner, walked either way round, fixes one lattice map
+    (``_frame``).  A collinear set has one frame at each end, pointing along
+    the line, and a single point one translation to the origin.  These rules
+    fix each frame, so if M carries one set onto another, F composed with
+    M's inverse is a frame of the other set with F's image for every frame F
+    of the first: frames with equal images give every equivalence.  Frames
+    are yielded one at a time, so a least image holds two, not all.
     """
     pts = config.points
     if len(pts) < 2:
@@ -288,18 +284,30 @@ def _frames(config: PointConfig, ring_only: bool = False) -> Iterator[tuple[list
     else:
         corners = [(i, turn) for i in range(len(ring)) for turn in (1, -1)]
     for i, turn in corners:
-        (vx, vy), (ax, ay), (bx, by) = ring[i], ring[(i + turn) % len(ring)], ring[(i - turn) % len(ring)]
-        g, s, t = _xgcd(ax - vx, ay - vy)
-        # rows (s, t) and (ux, uy) send the edge's primitive step to (1, 0) and the set to
-        # y >= 0; adding k times row two to row one moves the neighbour to x in [0, height)
-        ux, uy = turn * (vy - ay) // g, turn * (ax - vx) // g
-        height = ux * (bx - vx) + uy * (by - vy)
-        if height:  # zero along a line, whose frames need no shear
-            k = -((s * (bx - vx) + t * (by - vy)) // height)
-            s, t = s + k * ux, t + k * uy
-        cx, cy = -s * vx - t * vy, -ux * vx - uy * vy
-        image = sorted((s * x + t * y + cx, ux * x + uy * y + cy) for x, y in (ring if ring_only else pts))
-        yield image, ((s, t), (ux, uy)), (cx, cy)
+        yield _frame(ring, i, turn, pts)
+
+
+def _frame(
+    ring: Sequence[Point], i: int, turn: int, points: Iterable[Point]
+) -> tuple[list[Point], tuple[Point, Point], Point]:
+    """The frame at corner ``ring[i]`` walked ``turn`` way round, as (sorted image of ``points``, matrix, translation).
+
+    The corner goes to the origin, its outgoing edge, towards
+    ``ring[i + turn]``, along the positive x-axis with the set above it, and
+    the remaining shear puts the incoming neighbour (a, b) at (a mod b, b).
+    """
+    (vx, vy), (ax, ay), (bx, by) = ring[i], ring[(i + turn) % len(ring)], ring[(i - turn) % len(ring)]
+    g, s, t = _xgcd(ax - vx, ay - vy)
+    # rows (s, t) and (ux, uy) send the edge's primitive step to (1, 0) and the set to
+    # y >= 0; adding k times row two to row one moves the neighbour to x in [0, height)
+    ux, uy = turn * (vy - ay) // g, turn * (ax - vx) // g
+    height = ux * (bx - vx) + uy * (by - vy)
+    if height:  # zero along a line, whose frames need no shear
+        k = -((s * (bx - vx) + t * (by - vy)) // height)
+        s, t = s + k * ux, t + k * uy
+    cx, cy = -s * vx - t * vy, -ux * vx - uy * vy
+    image = sorted((s * x + t * y + cx, ux * x + uy * y + cy) for x, y in points)
+    return image, ((s, t), (ux, uy)), (cx, cy)
 
 
 def are_equivalent(source: PointConfig, target: PointConfig) -> Optional[AffineUnimodularMap]:
@@ -368,13 +376,32 @@ def exception_index(config: PointConfig) -> Optional[int]:
 
 
 def _corner_form(config: PointConfig) -> tuple[Point, ...]:
-    """The least sorted image of the strict hull corners over the frames of ``_frames``.
+    """The least sorted image of the strict hull corners over the frames at the least-keyed corners.
 
-    It is ``normal_form`` of the corners alone, a collinear set's two ends
-    giving ((0, 0), (n - 1, 0)) for n lattice points.  Lattice-convex sets
-    are the lattice points of the hulls of their corners, so on them equal
-    corner forms mean equivalence; on other sets they do not (a square's
-    corners with and without its centre), which is why this stays private.
+    A frame's key is (lattice length of its outgoing edge, lattice length of
+    its incoming edge, |det| of the two edges), read in the frame's turn
+    direction; a collinear set's frames, its two ends either way, share one
+    key and give ((0, 0), (n - 1, 0)) for n lattice points.  Lattice maps
+    carry frames to frames and keep their keys, so they carry the least-keyed
+    frames of one set onto those of the other, with equal images: equivalent
+    sets have equal corner forms.  Equal corner forms make the corners
+    equivalent, and lattice-convex sets are the lattice points of the hulls
+    of their corners, so on them equal corner forms mean equivalence.  On
+    other sets they do not (a square's corners with and without its
+    centre), which is why this stays private.  The form is complete, not
+    canonical in ``normal_form``'s sense: where the corners' keys differ it
+    may differ from the normal form of the corners.
     """
-    return tuple(min((image for image, _, _ in _frames(config, ring_only=True)), default=()))
-
+    pts = config.points
+    if len(pts) < 2:
+        return ((0, 0),) if pts else ()
+    ring = _hull_ring(pts)
+    n = len(ring)
+    keyed = []
+    for i in range(n):
+        (vx, vy), (ax, ay), (bx, by) = ring[i], ring[(i + 1) % n], ring[i - 1]
+        after, before = gcd(ax - vx, ay - vy), gcd(bx - vx, by - vy)
+        det = abs((ax - vx) * (by - vy) - (ay - vy) * (bx - vx))
+        keyed += [((after, before, det), i, 1), ((before, after, det), i, -1)]
+    least = min(keyed)[0]
+    return tuple(min(_frame(ring, i, turn, ring)[0] for key, i, turn in keyed if key == least))

@@ -14,8 +14,17 @@ from functools import reduce
 from operator import and_, or_
 from typing import Optional
 
-from .geometry import BudgetError, DimensionError, Point, PointConfig, _corner_form, exception_index, vertex_set
-from .wedge import SubsetSumTable, _abridged, _reflect, hull_count
+from .geometry import (
+    BudgetError,
+    DimensionError,
+    Point,
+    PointConfig,
+    _corner_form,
+    _lower_chain,
+    exception_index,
+    vertex_set,
+)
+from .wedge import SubsetSumTable, _abridged, _pick_count, _reflect
 
 GRID_CELL_BUDGET = 25
 
@@ -45,26 +54,29 @@ def enumerate_lattice_convex(grid: GridSpec) -> list[PointConfig]:
 
     A lattice-convex set is a run of row intervals [l, r], and a row inside
     the run may be empty: the segment (0,0)-(1,2) has no lattice point on
-    row 1.  Rows are chosen depth first from y = 0 on a bitset in
-    hull_count's layout, bit x + y * (width + 1), and a prefix is extended
-    only while it is lattice-convex, that is while its hull holds no more
-    lattice points than it does: the hull of a set contains the hull of
-    each of its prefixes, so a prefix missing a hull point never gets it
-    back.  A set is kept when its top row is nonempty and some row starts
-    at x = 0, so each translation class appears once, moved to the origin.
-    The result is sorted by size and then by point list so runs are
-    reproducible.
+    row 1.  Rows are chosen depth first from y = 0, and the search carries
+    the hull's two boundaries: the lower chain of the row minima (y, l) and
+    the lower chain of the negated row maxima (y, -r).  A candidate row is
+    pushed onto both with ``_lower_chain``, and the prefix is extended only
+    while it is lattice-convex, that is while Pick's count of the chains'
+    ring equals its number of points: the hull of a set contains the hull
+    of each of its prefixes, so a prefix missing a hull point never gets it
+    back.  No bitset is built and no layer is read.  A set is kept when its
+    top row is nonempty and some row starts at x = 0, so each translation
+    class appears once, moved to the origin.  The result is sorted by size
+    and then by point list so runs are reproducible.
     """
     row_width = grid.width + 1
     found: list[tuple[Point, ...]] = []
 
-    def extend(prefix: int, y: int, points: list[Point], at_left: bool) -> None:
+    def extend(y: int, points: list[Point], lows: list[Point], neg_highs: list[Point], at_left: bool) -> None:
         if y > grid.height:
             return
         for lo in range(row_width):
+            grown_lows = _lower_chain(lows + [(y, lo)])
             for hi in range(lo, row_width):
-                bits = prefix | ((1 << (hi - lo + 1)) - 1) << (y * row_width + lo)
-                if hull_count(bits, row_width) != len(points) + hi - lo + 1:
+                grown_highs = _lower_chain(neg_highs + [(y, -hi)])
+                if _pick_count(grown_lows, grown_highs) != len(points) + hi - lo + 1:
                     # a wider top row only grows the hull over the same rows
                     # below, so it misses the same points
                     break
@@ -72,11 +84,11 @@ def enumerate_lattice_convex(grid: GridSpec) -> list[PointConfig]:
                 left = at_left or lo == 0
                 if left:
                     found.append(tuple(sorted(grown)))
-                extend(bits, y + 1, grown, left)
+                extend(y + 1, grown, grown_lows, grown_highs, left)
         if y:
-            extend(prefix, y + 1, points, at_left)  # an empty row
+            extend(y + 1, points, lows, neg_highs, at_left)  # an empty row
 
-    extend(0, 0, [], False)
+    extend(0, [], [], [], False)
     found.sort(key=lambda points: (len(points), points))
     return [PointConfig(2, points) for points in found]
 
@@ -270,11 +282,12 @@ def verify_grid(grid: GridSpec, jobs: int = 1) -> GridSummary:
 
     Every check is invariant under affine unimodular maps, so one
     representative per orbit is examined and its outcome counted for every
-    member.  Orbits are grouped by corner form, the least image of the hull
-    corners under the frames normal forms use: every enumerated set is the
-    lattice points of the hull of its corners, so equal corner forms make
-    the same orbits as equal normal forms, and the representative is the
-    orbit's first configuration either way.  That work can be
+    member.  The configurations come from ``enumerate_lattice_convex``, and
+    orbits are grouped by corner form, the least image of the hull corners
+    under the frames at the corners of least key (``_corner_form``): every
+    enumerated set is the lattice points of the hull of its corners, so
+    equal corner forms make the same orbits as equal normal forms, and the
+    representative is the orbit's first configuration either way.  That work can be
     spread over 1 to os.cpu_count() worker processes; the summary does not
     depend on their count.
     """

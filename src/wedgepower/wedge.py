@@ -364,18 +364,27 @@ def hull_count(layer: int, width: int) -> int:
 
     Bit ``x + y * width`` is the point (x, y).  The lower chains of the row
     minima and of the negated row maxima are the hull's left and right
-    boundaries; walked up the one and down the other they close into its
-    corner ring.  With 2A the ring's shoelace sum and B the lattice points
-    on it, the sum of the gcds of its steps, the hull holds A + B/2 + 1
-    points.  A point, a row or a column makes a ring that goes out and back
-    along itself: A is 0 and B counts every boundary point twice, so the
-    same formula counts it.  A layer is lattice-convex exactly when this
-    equals its popcount, and no fill is built to say so.
+    boundaries, and ``_pick_count`` counts the points between them.  A
+    layer is lattice-convex exactly when this equals its popcount, and no
+    fill is built to say so.
     """
     if not layer:
         return 0
     _, lows, neg_highs = _row_ends(layer, width)
-    ring = _lower_chain(lows) + [(y, -x) for y, x in reversed(_lower_chain(neg_highs))]
+    return _pick_count(_lower_chain(lows), _lower_chain(neg_highs))
+
+
+def _pick_count(lows: list[Point], neg_highs: list[Point]) -> int:
+    """The lattice points of a hull given as the lower chains of its row minima (y, x) and negated maxima (y, -x).
+
+    Walked up the one chain and down the other, the chains close into the
+    hull's corner ring.  With 2A the ring's shoelace sum and B the lattice
+    points on it, the sum of the gcds of its steps, the hull holds
+    A + B/2 + 1 points.  A point, a row or a column makes a ring that goes
+    out and back along itself: A is 0 and B counts every boundary point
+    twice, so the same formula counts it.
+    """
+    ring = lows + [(y, -x) for y, x in reversed(neg_highs)]
     twice_area = boundary = 0
     ay, ax = ring[-1]
     for by, bx in ring:

@@ -19,6 +19,9 @@ The earlier bitset hull fill, a monotone-chain hull ring of the row ends
 cut row by row along its edges, is the reference for the two-envelope
 ``hull_fill``, and the earlier grid enumerator, one ``hull_fill`` per mask
 over all 2^cells masks (``enumerate_by_masks``), for the row-interval one.
+The row-interval search as it was before it carried the hull's chains,
+one ``hull_count`` of a prefix bitset per candidate row
+(``enumerate_by_prefix_counts``), is the reference for the chains.
 The numpy unpacking that ``SubsetSumTable.points_of`` and ``coords`` once
 ran, flat indices split by ``divmod`` per coordinate (``points_of``), is
 the reference for the byte walk and for ``coords``.
@@ -57,10 +60,10 @@ from wedgepower import (
     wedge_power,
 )
 from wedgepower import harness
-from wedgepower.geometry import _xgcd, normal_form
-from wedgepower.harness import TheoremReport
+from wedgepower.geometry import Point, _xgcd, normal_form
+from wedgepower.harness import GridSpec, TheoremReport
 from wedgepower.wedge import SubsetSumTable as BitsetTable
-from wedgepower.wedge import hull_fill
+from wedgepower.wedge import hull_count, hull_fill
 
 
 def _cross(o, a, b):
@@ -269,6 +272,43 @@ def enumerate_by_masks(grid):
         min_y = min(p[1] for p in subset)
         canons.add(tuple(sorted((p[0] - min_x, p[1] - min_y) for p in subset)))
     return sorted((PointConfig(2, c) for c in canons), key=lambda c: (len(c), c.points))
+
+
+def enumerate_by_prefix_counts(grid: GridSpec) -> list[PointConfig]:
+    """The library's earlier row-interval enumerator, which counts each prefix's hull on a bitset.
+
+    Rows are chosen depth first from y = 0 on a bitset in hull_count's
+    layout, bit x + y * (width + 1), and a prefix is extended only while its
+    hull holds no more lattice points than it does.  It shares the search
+    skeleton and Pick's formula with the chain enumerator, which reads the
+    hull off two chains carried down the search instead of off the bitset,
+    so the two are only partly independent; ``enumerate_by_masks`` shares
+    neither.
+    """
+    row_width = grid.width + 1
+    found: list[tuple[Point, ...]] = []
+
+    def extend(prefix: int, y: int, points: list[Point], at_left: bool) -> None:
+        if y > grid.height:
+            return
+        for lo in range(row_width):
+            for hi in range(lo, row_width):
+                bits = prefix | ((1 << (hi - lo + 1)) - 1) << (y * row_width + lo)
+                if hull_count(bits, row_width) != len(points) + hi - lo + 1:
+                    # a wider top row only grows the hull over the same rows
+                    # below, so it misses the same points
+                    break
+                grown = points + [(x, y) for x in range(lo, hi + 1)]
+                left = at_left or lo == 0
+                if left:
+                    found.append(tuple(sorted(grown)))
+                extend(bits, y + 1, grown, left)
+        if y:
+            extend(prefix, y + 1, points, at_left)  # an empty row
+
+    extend(0, 0, [], False)
+    found.sort(key=lambda points: (len(points), points))
+    return [PointConfig(2, points) for points in found]
 
 
 def _hull_ring(pts):

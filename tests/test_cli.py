@@ -419,17 +419,33 @@ class TestErrorHandling:
             (["verify-grid", "--grid", "1x1", "--jobs", "1" + "0" * 4000], "CPU count (1), got 1000... (4001 digits)"),
             (["verify-grid", "--grid", "1x1", "--jobs", "-1" + "0" * 4000], "got -1000... (4001 digits)"),
             (["p-good", "--input", DATA / "single-point.json", "-p", "1" + "0" * 5000], "invalid int value: '1000..."),
+            # long text is cut to its first 32 characters and its length
+            (["verify-grid", "--grid", "a" * 5000], "got '" + "a" * 32 + "... (5000 characters)'"),
+            (["cornercut", "-d", "1", "-B", "a" * 5000], "-B: invalid int value: '" + "a" * 32 + "... (5000 characters)'"),
+            (["check-convex", "--input", "a" * 5000], "File name too long: '" + "a" * 32 + "... (5000 characters)'"),
         ],
-        ids=["cornercut-bound", "grid", "jobs-unparsed", "jobs", "jobs-negative", "p-good-size"],
+        ids=[
+            "cornercut-bound", "grid", "jobs-unparsed", "jobs", "jobs-negative", "p-good-size",
+            "grid-letters", "cornercut-bound-letters", "input-path",
+        ],
     )
     def test_huge_numbers_are_echoed_abridged(self, capsys, monkeypatch, argv, cause):
-        # printed in full, each number made a 4 to 5 kB line; past 4,300 digits the
-        # interpreter will not convert it, so it is abridged as text
+        # printed in full, each number or text made a 4 to 5 kB line; past 4,300 digits
+        # the interpreter will not convert a number, so it is abridged as text
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
         code, out, err = run(capsys, *argv)
         assert (code, out) == (1, "")
         assert len(err.encode()) < 200
         assert cause in err
+
+    def test_long_string_coordinate_is_echoed_abridged(self, capsys, tmp_path):
+        wordy = tmp_path / "wordy.json"
+        wordy.write_text('{"dim": 2, "points": [["' + "a" * 5000 + '", 0]]}')
+        code, out, err = run(capsys, "check-convex", "--input", wordy)
+        assert (code, out) == (1, "")
+        assert len(err.encode()) < 200
+        assert err.startswith(f"error: {wordy}: points[0] has non-integer coordinate 'aaaa")
+        assert "(5000 characters)" in err
 
     def test_huge_size_note_is_abridged(self, capsys, e1_file):
         code, out, err = run(capsys, "wedge", "--input", e1_file, "-p", "1" + "0" * 4000)

@@ -1,6 +1,7 @@
 import pytest
 
-from wedgepower import PointConfig, truncated_quadrant, verify_corner_cut, wedge_power
+import wedgepower.cornercut as cornercut_module
+from wedgepower import PointConfig, SubsetSumTable, truncated_quadrant, verify_corner_cut, wedge_power
 
 import oracles
 
@@ -52,6 +53,25 @@ class TestVerifyCornerCut:
         report = verify_corner_cut(3, 3)
         assert report.convex
         assert report.cardinality == len(oracles.naive_wedge(truncated_quadrant(3).points, 3))
+
+    @pytest.mark.parametrize("bound", range(2, 7))
+    def test_sizes_above_half_are_the_direct_reading(self, bound, monkeypatch):
+        # a size d above N/2 is read from a depth N - d table and reflected; the report
+        # must be the one a depth-d table gives directly
+        quadrant = truncated_quadrant(bound)
+        n = len(quadrant)
+        depths = []
+
+        class Spy(SubsetSumTable):
+            def __init__(self, points, depth, dim=None, **kwargs):
+                depths.append(depth)
+                super().__init__(points, depth, dim, **kwargs)
+
+        monkeypatch.setattr(cornercut_module, "SubsetSumTable", Spy)
+        for d in range(1, n + 1):
+            direct = SubsetSumTable(quadrant.points, d, dim=2).check_convex(d)
+            assert verify_corner_cut(d, bound) == direct, d
+        assert depths == [min(d, n - d) for d in range(1, n + 1)]
 
     def test_preconditions(self):
         with pytest.raises(ValueError):

@@ -95,6 +95,13 @@ def test_row_intervals_match_the_hull_fill_mask_loop(grid):
     assert enumerate_lattice_convex(grid) == oracles.enumerate_by_masks(grid)
 
 
+@pytest.mark.parametrize("grid", SMALL_GRIDS + [GridSpec(3, 3), GridSpec(4, 4)], ids=lambda g: f"{g.width}x{g.height}")
+def test_chains_match_the_prefix_count_enumerator(grid):
+    # the oracle counts each prefix's hull on a bitset; the two share the row-interval
+    # search and Pick's formula, so this checks the chains, not the search
+    assert enumerate_lattice_convex(grid) == oracles.enumerate_by_prefix_counts(grid)
+
+
 @lru_cache(maxsize=None)
 def _enumerated(size):
     """The classes of the size x size grid, past GridSpec's cell budget."""
@@ -102,6 +109,12 @@ def _enumerated(size):
     object.__setattr__(grid, "width", size)
     object.__setattr__(grid, "height", size)
     return frozenset(config.points for config in enumerate_lattice_convex(grid))
+
+
+def test_five_by_five_class_count():
+    # 178,028 classes, as the chain enumerator and oracles.enumerate_by_prefix_counts
+    # both counted them, with equal lists; the grid is past GridSpec's cell budget
+    assert len(_enumerated(5)) == 178028
 
 
 @pytest.mark.parametrize("size", [4, 5])

@@ -346,7 +346,11 @@ class TestNormalForm:
 
 
 class TestCornerForm:
-    """The private grouping key of grid runs: a normal form of the hull corners alone."""
+    """The private grouping key of grid runs: the least image of the hull corners over the least-keyed frames.
+
+    Where every frame has the same key it is the normal form of the corners;
+    elsewhere it need not be, as it only has to make the same orbits.
+    """
 
     def test_singleton_empty_and_collinear(self):
         assert _corner_form(PointConfig.of([(5, -7)])) == ((0, 0),)
@@ -357,6 +361,16 @@ class TestCornerForm:
     def test_is_the_normal_form_of_the_corners(self):
         for config in (PointConfig.of(FIRST_EXCEPTION), grid_config(3), truncated_quadrant(4)):
             assert _corner_form(config) == normal_form(vertex_set(config))
+
+    def test_reads_only_the_least_keyed_corners(self):
+        # the triangle (0, 0), (1, 0), (0, 2): of its edges only the one on the y-axis
+        # has lattice length 2, so the corner (1, 0) between the two primitive edges has
+        # the least key, and its frames miss the least image that the normal form finds
+        config = PointConfig.of([(0, 0), (0, 1), (0, 2), (1, 0)])
+        assert _corner_form(config) == ((0, 0), (1, 0), (1, 2))
+        assert normal_form(vertex_set(config)) == ((0, 0), (0, 1), (2, 0))
+        for other in ([(0, 0), (0, 1), (0, 2), (1, 1)], [(0, 0), (1, 1), (2, 2), (1, 0)]):
+            assert _corner_form(PointConfig.of(other)) == _corner_form(config)
 
     def test_needs_lattice_convex_sets(self):
         # the corners of a 2x2 square, with and without its centre: equal corner
