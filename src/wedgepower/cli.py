@@ -30,15 +30,18 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _abridged_runs(text: str) -> str:
-    """``text`` with each overlong run cut, so an echoed argument or path keeps the line short.
+    """``text`` with each overlong run and line cut, so an echoed argument or path keeps the line short.
 
     A run of more than 15 digits is cut as ``wedge._abridged`` cuts a count,
     read as text since an echoed argument may be past the interpreter's
     limit on int().  Then any run of more than 128 characters, all of them
     whitespace or quotes or none of them, keeps its first 32 and its length.
+    A line still over 192 characters, such as one echoing many short words,
+    keeps its first 160 and its length.
     """
     text = re.sub(r"\d{16,}", lambda run: f"{run[0][:4]}... ({len(run[0])} digits)", text)
-    return re.sub(r"[^\s'\"]{129,}|[\s'\"]{129,}", lambda run: f"{run[0][:32]}... ({len(run[0])} characters)", text)
+    text = re.sub(r"[^\s'\"]{129,}|[\s'\"]{129,}", lambda run: f"{run[0][:32]}... ({len(run[0])} characters)", text)
+    return re.sub(r"(?m)^(.{160}).{33,}$", lambda line: f"{line[1]}... ({len(line[0])} characters)", text)
 
 
 def _write(text: str, path: Optional[str]) -> None:

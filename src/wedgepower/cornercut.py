@@ -8,7 +8,7 @@ distinct quadrant points.
 """
 
 from .geometry import BudgetError, PointConfig
-from .wedge import ConvexityReport, SubsetSumTable, _abridged, _reflect
+from .wedge import ConvexityReport, SubsetSumTable, _abridged
 
 BOUND_LIMIT = 1_000  # at it, (B + 1)(B + 2) / 2 = 501,501 points are listed before the table budget is checked
 
@@ -44,6 +44,4 @@ def verify_corner_cut(subset_size: int, bound: int) -> ConvexityReport:
         )
     depth = min(subset_size, len(quadrant) - subset_size)
     report = SubsetSumTable(quadrant.points, depth, dim=2).check_convex(depth)
-    if depth == subset_size:
-        return report
-    return ConvexityReport(report.convex, _reflect(report.missing, quadrant.total()), report.cardinality)
+    return report if depth == subset_size else report.reflected(quadrant.total())

@@ -263,28 +263,37 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def _frames(config: PointConfig) -> Iterator[tuple[list[Point], tuple[Point, Point], Point]]:
-    """The canonical lattice maps of a planar set, each as (sorted image, matrix, translation).
+def _frames(ring: Sequence[Point], points: Iterable[Point]) -> Iterator[tuple[list[Point], tuple[Point, Point], Point]]:
+    """A planar set's frames at its least-keyed corners, each as (sorted image of ``points``, matrix, translation).
 
-    Each strict hull corner, walked either way round, fixes one lattice map
-    (``_frame``).  A collinear set has one frame at each end, pointing along
-    the line, and a single point one translation to the origin.  These rules
-    fix each frame, so if M carries one set onto another, F composed with
-    M's inverse is a frame of the other set with F's image for every frame F
-    of the first: frames with equal images give every equivalence.  Frames
-    are yielded one at a time, so a least image holds two, not all.
+    ``ring`` is the set's strict hull ring, or the set itself below two
+    points.  Each corner, walked either way round, fixes one map
+    (``_frame``) keyed by the lattice lengths of its outgoing and incoming
+    edges and the |det| of the two; only the least-keyed frames are made.
+    A collinear set has one frame at each end, pointing along the line, and
+    a single point one translation to the origin.  Lattice maps keep keys,
+    so if M carries one set onto another, F composed with M's inverse is a
+    frame of the other set with F's image for every frame F of the first:
+    frames with equal images give every equivalence.  Frames are made one
+    at a time, so a least image holds two, not all.
     """
-    pts = config.points
-    if len(pts) < 2:
-        yield from (([(0, 0)], ((1, 0), (0, 1)), (-x, -y)) for x, y in pts)
+    n = len(ring)
+    if n < 2:
+        yield from (([(0, 0)], ((1, 0), (0, 1)), (-x, -y)) for x, y in ring)
         return
-    ring = _hull_ring(pts)
-    if len(ring) == 2:  # the far frame is the near one followed by x -> span - x
-        corners = [(0, 1), (1, -1)]
+    if n == 2:  # one key: the far frame is the near one followed by x -> span - x
+        least = [(0, 1), (1, -1)]
     else:
-        corners = [(i, turn) for i in range(len(ring)) for turn in (1, -1)]
-    for i, turn in corners:
-        yield _frame(ring, i, turn, pts)
+        keyed = []
+        for i in range(n):
+            (vx, vy), (ax, ay), (bx, by) = ring[i], ring[(i + 1) % n], ring[i - 1]
+            after, before = gcd(ax - vx, ay - vy), gcd(bx - vx, by - vy)
+            det = abs((ax - vx) * (by - vy) - (ay - vy) * (bx - vx))
+            keyed += [((after, before, det), i, 1), ((before, after, det), i, -1)]
+        key = min(keyed)[0]
+        least = [(i, turn) for k, i, turn in keyed if k == key]
+    for i, turn in least:
+        yield _frame(ring, i, turn, points)
 
 
 def _frame(
@@ -306,7 +315,8 @@ def _frame(
         k = -((s * (bx - vx) + t * (by - vy)) // height)
         s, t = s + k * ux, t + k * uy
     cx, cy = -s * vx - t * vy, -ux * vx - uy * vy
-    image = sorted((s * x + t * y + cx, ux * x + uy * y + cy) for x, y in points)
+    image = [(s * x + t * y + cx, ux * x + uy * y + cy) for x, y in points]
+    image.sort()
     return image, ((s, t), (ux, uy)), (cx, cy)
 
 
@@ -322,11 +332,10 @@ def are_equivalent(source: PointConfig, target: PointConfig) -> Optional[AffineU
         raise DimensionError("equivalence is decided for planar configurations")
     if len(source) != len(target) or len(source) == 0:
         return None
-    image, *frame = next(_frames(source))
+    sources, targets = (_frames(_hull_ring(c.points) or c.points, c.points) for c in (source, target))
+    image, *frame = next(sources)
     first = AffineUnimodularMap(*frame)
-    maps = [
-        AffineUnimodularMap(*other).inverse().compose(first) for found, *other in _frames(target) if found == image
-    ]
+    maps = [AffineUnimodularMap(*other).inverse().compose(first) for found, *other in targets if found == image]
     return min(maps, key=lambda m: list(map(m.apply, source.points)), default=None)
 
 
@@ -335,12 +344,18 @@ def normal_form(config: PointConfig) -> tuple[Point, ...]:
 
     Two configurations are equivalent exactly when their normal forms are
     equal: the normal form is the least sorted image over the frames of
-    ``_frames``, so a collinear set becomes the lesser of its two gap
-    patterns along the x-axis, and a single point the origin.
+    ``_frames``, those at the least-keyed hull corners, so a collinear set
+    becomes the lesser of its two gap patterns along the x-axis, and a
+    single point the origin.
     """
     if config.dim != 2:
         raise DimensionError("normal forms are for planar configurations")
-    return tuple(min((image for image, _, _ in _frames(config)), default=()))
+    return _least_image(_hull_ring(config.points) or config.points, config.points)
+
+
+def _least_image(ring: Sequence[Point], points: Iterable[Point]) -> tuple[Point, ...]:
+    """The least sorted image of ``points`` over the frames of ``_frames`` at ``ring``."""
+    return tuple(min((image for image, _, _ in _frames(ring, points)), default=()))
 
 
 def exceptional_triangle(index: int) -> PointConfig:
@@ -361,47 +376,29 @@ def exception_index(config: PointConfig) -> Optional[int]:
 
     Only one k can possibly match a given configuration: the triangle with
     index k has exactly k+3 points.  It has three strict hull corners, a
-    count lattice maps keep, so any other set is turned down first.  Its
-    three edges are primitive and its twice-area is 2k+1, so its corner form
-    is ((0, 0), (1, 0), (2, 2k+1)), and by Pick's theorem it holds no lattice
-    points beyond its k+3.  A set of k+3 points whose corners have that form
-    is therefore all of them, and the three corners decide.
+    count lattice maps keep, so any other set is turned down on its hull
+    ring, which then gives the corner form.  The triangle's edges are
+    primitive and its twice-area is 2k+1, so that form is ((0, 0), (1, 0),
+    (2, 2k+1)), and by Pick's theorem it holds no lattice points beyond its
+    k+3: a set of k+3 points with those corners is all of them.
     """
     if config.dim != 2:
         raise DimensionError("exception detection is for planar configurations")
     k = len(config) - 3
-    if k < 1 or len(_hull_ring(config.points)) != 3:
+    ring = _hull_ring(config.points)
+    if k < 1 or len(ring) != 3:
         return None
-    return k if _corner_form(config) == ((0, 0), (1, 0), (2, 2 * k + 1)) else None
+    return k if _least_image(ring, ring) == ((0, 0), (1, 0), (2, 2 * k + 1)) else None
 
 
 def _corner_form(config: PointConfig) -> tuple[Point, ...]:
-    """The least sorted image of the strict hull corners over the frames at the least-keyed corners.
+    """The normal form of the strict hull corners, computed from the hull ring.
 
-    A frame's key is (lattice length of its outgoing edge, lattice length of
-    its incoming edge, |det| of the two edges), read in the frame's turn
-    direction; a collinear set's frames, its two ends either way, share one
-    key and give ((0, 0), (n - 1, 0)) for n lattice points.  Lattice maps
-    carry frames to frames and keep their keys, so they carry the least-keyed
-    frames of one set onto those of the other, with equal images: equivalent
-    sets have equal corner forms.  Equal corner forms make the corners
-    equivalent, and lattice-convex sets are the lattice points of the hulls
-    of their corners, so on them equal corner forms mean equivalence.  On
-    other sets they do not (a square's corners with and without its
-    centre), which is why this stays private.  The form is complete, not
-    canonical in ``normal_form``'s sense: where the corners' keys differ it
-    may differ from the normal form of the corners.
+    Equivalent sets have equivalent corners and so equal corner forms.
+    Equal corner forms make the corners equivalent, and lattice-convex sets
+    are the lattice points of the hulls of their corners, so on them equal
+    corner forms mean equivalence.  On other sets they do not (a square's
+    corners with and without its centre), which is why this stays private.
     """
-    pts = config.points
-    if len(pts) < 2:
-        return ((0, 0),) if pts else ()
-    ring = _hull_ring(pts)
-    n = len(ring)
-    keyed = []
-    for i in range(n):
-        (vx, vy), (ax, ay), (bx, by) = ring[i], ring[(i + 1) % n], ring[i - 1]
-        after, before = gcd(ax - vx, ay - vy), gcd(bx - vx, by - vy)
-        det = abs((ax - vx) * (by - vy) - (ay - vy) * (bx - vx))
-        keyed += [((after, before, det), i, 1), ((before, after, det), i, -1)]
-    least = min(keyed)[0]
-    return tuple(min(_frame(ring, i, turn, ring)[0] for key, i, turn in keyed if key == least))
+    ring = _hull_ring(config.points) or config.points
+    return _least_image(ring, ring)

@@ -24,7 +24,7 @@ from .geometry import (
     exception_index,
     vertex_set,
 )
-from .wedge import SubsetSumTable, _abridged, _pick_count, _reflect
+from .wedge import SubsetSumTable, _abridged, _pick_count
 
 GRID_CELL_BUDGET = 25
 
@@ -213,11 +213,9 @@ def _theorem_report(config: PointConfig, base: SubsetSumTable) -> tuple[TheoremR
     """verify_polygon's report from a table of depth N//2, and the hull count of each size it read."""
     n = len(config)
     reports = [base.check_convex(p) for p in range(base.depth + 1)]
-    per_size = [(p, report.convex, report.missing.points) for p, report in enumerate(reports)]
     total = config.total()
-    for p in range(len(reports), n + 1):
-        report = reports[n - p]
-        per_size.append((p, report.convex, _reflect(report.missing, total).points))
+    reflected = [reports[n - p].reflected(total) for p in range(len(reports), n + 1)]
+    per_size = [(p, report.convex, report.missing.points) for p, report in enumerate(reports + reflected)]
     if n and not per_size[1][1]:  # the size-1 layer is the configuration itself
         missing = ", ".join(map(str, per_size[1][2]))
         raise ValueError(f"the configuration is not lattice-convex: its hull also holds {missing}")
@@ -283,13 +281,12 @@ def verify_grid(grid: GridSpec, jobs: int = 1) -> GridSummary:
     Every check is invariant under affine unimodular maps, so one
     representative per orbit is examined and its outcome counted for every
     member.  The configurations come from ``enumerate_lattice_convex``, and
-    orbits are grouped by corner form, the least image of the hull corners
-    under the frames at the corners of least key (``_corner_form``): every
-    enumerated set is the lattice points of the hull of its corners, so
-    equal corner forms make the same orbits as equal normal forms, and the
-    representative is the orbit's first configuration either way.  That work can be
-    spread over 1 to os.cpu_count() worker processes; the summary does not
-    depend on their count.
+    orbits are grouped by ``_corner_form``, the normal form of the hull
+    corners: every enumerated set is the lattice points of the hull of its
+    corners, so equal corner forms mean equivalence.  Each orbit's
+    representative is its first configuration, and the work can be spread
+    over 1 to os.cpu_count() worker processes; the summary does not depend
+    on their count.
     """
     cpus = os.cpu_count() or 1
     if not 1 <= jobs <= cpus:

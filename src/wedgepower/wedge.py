@@ -332,6 +332,10 @@ class ConvexityReport:
     missing: PointConfig
     cardinality: int
 
+    def reflected(self, pivot: Point) -> "ConvexityReport":
+        """The report on the set's point reflection p -> pivot - p: same verdict and size, missing points reflected."""
+        return ConvexityReport(self.convex, _reflect(self.missing, pivot), self.cardinality)
+
     def to_json(self) -> dict:
         return {
             "convex": self.convex,

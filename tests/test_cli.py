@@ -271,6 +271,16 @@ class TestEquivalentCommand:
         assert code == 0
         assert out == (DATA / "equivalent-exceptional-triangle-3.json").read_text()
 
+    @pytest.mark.parametrize("name", ["triangle-4", "collinear-3"])
+    def test_equivalent_prints_the_bytes_pinned_before_frames_were_keyed(self, capsys, name):
+        # only one of the triangle's three corners has the least key, so only its frames
+        # are read now; a collinear set keeps its two frames.  The expected files were
+        # written when every corner's frames were read, both ways round
+        code, out, _ = run(capsys, "equivalent", "--input", DATA / f"{name}.json",
+                           "--input", DATA / f"{name}-image.json")
+        assert code == 0
+        assert out == (DATA / f"equivalent-{name}.json").read_text()
+
     def test_large_inequivalent_triangles(self, capsys, tmp_path):
         # 120 points and three corners each, but no map between them
         quadrant, thin = tmp_path / "quadrant.json", tmp_path / "thin.json"
@@ -437,6 +447,21 @@ class TestErrorHandling:
         assert (code, out) == (1, "")
         assert len(err.encode()) < 200
         assert cause in err
+
+    @pytest.mark.parametrize(
+        "argv, start",
+        [
+            (["verify-grid", "--grid", " ".join(["a"] * 2500)], "--grid expects WxH with integers, got 'a a a"),
+            (["cornercut", "-d", "1", "-B", " ".join(["1"] * 2500)], "wedgepower cornercut: argument -B: invalid int"),
+        ],
+        ids=["grid-words", "cornercut-bound-words"],
+    )
+    def test_long_lines_of_short_words_are_cut(self, capsys, argv, start):
+        # 2,500 one-character words hold no long run, yet made a 5 kB line
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert len(err.encode()) < 200
+        assert err.startswith(start) and err.endswith(" characters)\n")
 
     def test_long_string_coordinate_is_echoed_abridged(self, capsys, tmp_path):
         wordy = tmp_path / "wordy.json"

@@ -3,7 +3,7 @@ import random
 import tracemalloc
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import wedgepower
@@ -21,6 +21,7 @@ from wedgepower import (
     truncated_quadrant,
     vertex_set,
 )
+from wedgepower import geometry
 from wedgepower.geometry import _corner_form, _hull_ring
 from wedgepower.render import render_svg
 
@@ -33,6 +34,14 @@ planar_points = st.lists(
     min_size=1,
     max_size=8,
     unique=True,
+)
+
+# one to five points along a line, so a single point too
+collinear_points = st.builds(
+    lambda start, step, offsets: [(start[0] + t * step[0], start[1] + t * step[1]) for t in offsets],
+    st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
+    st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(any),
+    st.lists(st.integers(0, 6), min_size=1, max_size=5, unique=True),
 )
 
 
@@ -331,6 +340,19 @@ class TestNormalForm:
         with pytest.raises(DimensionError):
             normal_form(PointConfig.of([(0,) * dim, (1,) * dim]))
 
+    def test_reads_the_frames_of_least_key_only(self, monkeypatch):
+        # the triangle (0, 0), (1, 0), (0, 2) has six frames, each corner walked both ways
+        # round; only the corner (1, 0), between its two primitive edges, has the least key
+        made, frame = [], geometry._frame
+
+        def counted(ring, i, turn, points):
+            made.append((i, turn))
+            return frame(ring, i, turn, points)
+
+        monkeypatch.setattr(geometry, "_frame", counted)
+        normal_form(PointConfig.of([(0, 0), (0, 1), (0, 2), (1, 0)]))
+        assert made == [(1, 1), (1, -1)]
+
     def test_frames_are_not_held_at_once(self):
         # every point of the parabola is a hull corner: 400 frames of 200 points each,
         # about 9 MB if they were all held together
@@ -346,11 +368,7 @@ class TestNormalForm:
 
 
 class TestCornerForm:
-    """The private grouping key of grid runs: the least image of the hull corners over the least-keyed frames.
-
-    Where every frame has the same key it is the normal form of the corners;
-    elsewhere it need not be, as it only has to make the same orbits.
-    """
+    """The private grouping key of grid runs: the normal form of the hull corners, read off the hull ring."""
 
     def test_singleton_empty_and_collinear(self):
         assert _corner_form(PointConfig.of([(5, -7)])) == ((0, 0),)
@@ -365,12 +383,17 @@ class TestCornerForm:
     def test_reads_only_the_least_keyed_corners(self):
         # the triangle (0, 0), (1, 0), (0, 2): of its edges only the one on the y-axis
         # has lattice length 2, so the corner (1, 0) between the two primitive edges has
-        # the least key, and its frames miss the least image that the normal form finds
+        # the least key, and the corner form and the normal form both read its frames
         config = PointConfig.of([(0, 0), (0, 1), (0, 2), (1, 0)])
-        assert _corner_form(config) == ((0, 0), (1, 0), (1, 2))
-        assert normal_form(vertex_set(config)) == ((0, 0), (0, 1), (2, 0))
+        assert _corner_form(config) == normal_form(vertex_set(config)) == ((0, 0), (1, 0), (1, 2))
         for other in ([(0, 0), (0, 1), (0, 2), (1, 1)], [(0, 0), (1, 1), (2, 2), (1, 0)]):
             assert _corner_form(PointConfig.of(other)) == _corner_form(config)
+
+    @given(st.one_of(planar_points, collinear_points))
+    @example([(5, -7)])
+    def test_is_the_normal_form_of_the_vertex_set(self, raw):
+        config = PointConfig.of(raw)
+        assert _corner_form(config) == normal_form(vertex_set(config))
 
     def test_needs_lattice_convex_sets(self):
         # the corners of a 2x2 square, with and without its centre: equal corner

@@ -222,6 +222,17 @@ class TestReflectComplement:
         assert len(reflected) == 4
         assert reflected == wedge_power(square, 3)
 
+    def test_a_reflected_report_is_the_report_of_the_reflected_set(self):
+        # the 2x2 square's corners miss five points; reflected through (2, 3) they are
+        # the corners of the square [0, 2] x [1, 3], which miss the same five reflected
+        corners = PointConfig.of([(0, 0), (2, 0), (0, 2), (2, 2)])
+        report = check_lattice_convex(corners)
+        reflected = report.reflected((2, 3))
+        assert reflected == check_lattice_convex(_reflect(corners, (2, 3)))
+        assert (reflected.convex, reflected.cardinality) == (False, 4)
+        assert reflected.missing == _reflect(report.missing, (2, 3))
+        assert reflected.reflected((2, 3)) == report
+
 
 class TestSubsetSumTable:
     def test_contains_count_and_coords_agree(self):
