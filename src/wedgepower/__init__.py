@@ -6,81 +6,66 @@ decides whether planar point sets are lattice-convex, verifies the
 convexity behaviour of wedge powers exhaustively over small grids, and
 reproduces the three-dimensional configuration where that behaviour
 breaks down.
+
+``import wedgepower`` loads none of its modules.  Each public name is
+looked up in its home module when it is read (PEP 562), so a command that
+checks planar sets never loads the 3D witness, the corner cut or the
+renderer.  The name is not kept in the package afterwards: it is read
+through its module every time, so anything that rebinds a module's
+function, such as a tracer, is seen through the package too.
 """
 
-from .cornercut import truncated_quadrant, verify_corner_cut
-from .counterexample3d import (
-    ColoredSimplex,
-    build_colored_simplex,
-    plane_coordinates,
-    quadrant_points_below,
-    verify_counterexample,
-    witness_point,
-)
-from .geometry import (
-    AffineUnimodularMap,
-    BudgetError,
-    DimensionError,
-    LinearFunctional,
-    Point,
-    PointConfig,
-    apply_map,
-    are_equivalent,
-    exception_index,
-    exceptional_triangle,
-    normal_form,
-    remove_vertex,
-    vertex_set,
-)
-from .harness import (
-    GridSpec,
-    TheoremReport,
-    enumerate_lattice_convex,
-    is_p_good,
-    union_decomposition_holds,
-    verify_grid,
-    verify_polygon,
-)
-from .wedge import (
-    ConvexityReport,
-    SubsetSumTable,
-    check_lattice_convex,
-    wedge_power,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AffineUnimodularMap",
-    "BudgetError",
-    "ColoredSimplex",
-    "ConvexityReport",
-    "DimensionError",
-    "GridSpec",
-    "LinearFunctional",
-    "Point",
-    "PointConfig",
-    "SubsetSumTable",
-    "TheoremReport",
-    "apply_map",
-    "are_equivalent",
-    "build_colored_simplex",
-    "check_lattice_convex",
-    "enumerate_lattice_convex",
-    "exception_index",
-    "exceptional_triangle",
-    "is_p_good",
-    "normal_form",
-    "plane_coordinates",
-    "quadrant_points_below",
-    "remove_vertex",
-    "truncated_quadrant",
-    "union_decomposition_holds",
-    "verify_corner_cut",
-    "verify_counterexample",
-    "verify_grid",
-    "verify_polygon",
-    "vertex_set",
-    "wedge_power",
-    "witness_point",
-]
+_HOMES = {
+    "cornercut": ("truncated_quadrant", "verify_corner_cut"),
+    "counterexample3d": (
+        "ColoredSimplex",
+        "build_colored_simplex",
+        "plane_coordinates",
+        "quadrant_points_below",
+        "verify_counterexample",
+        "witness_point",
+    ),
+    "geometry": (
+        "AffineUnimodularMap",
+        "BudgetError",
+        "DimensionError",
+        "LinearFunctional",
+        "Point",
+        "PointConfig",
+        "apply_map",
+        "are_equivalent",
+        "exception_index",
+        "exceptional_triangle",
+        "normal_form",
+        "remove_vertex",
+        "vertex_set",
+    ),
+    "harness": (
+        "GridSpec",
+        "TheoremReport",
+        "enumerate_lattice_convex",
+        "is_p_good",
+        "union_decomposition_holds",
+        "verify_grid",
+        "verify_polygon",
+    ),
+    "wedge": ("ConvexityReport", "SubsetSumTable", "check_lattice_convex", "wedge_power"),
+}
+_HOME = {name: module for module, names in _HOMES.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -4,20 +4,23 @@ Every subcommand reads and writes the shared JSON schemas and uses stable
 exit codes: 0 when the computation succeeds and any checked claim holds,
 2 when a claim is refuted (non-convexity found, no equivalence, not
 p-good, a violated grid run), and 1 for usage, input or budget errors.
+
+Only the geometry and JSON modules load with the command line; each
+subcommand imports the module it runs when it starts, so a planar check
+never loads the 3D witness, the corner cut or the renderer.
 """
 
 import argparse
+import itertools
 import re
 import sys
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from . import cornercut as cornercut_mod
-from . import counterexample3d as cx3d
 from .geometry import BudgetError, PointConfig, are_equivalent
-from .harness import GridSpec, is_p_good, verify_grid, verify_polygon
 from .jsonio import config_to_json, dumps, read_point_config
-from .render import render_svg
-from .wedge import check_lattice_convex, wedge_power
+
+if TYPE_CHECKING:
+    from .harness import GridSpec
 
 
 class UsageError(Exception):
@@ -34,14 +37,29 @@ def _abridged_runs(text: str) -> str:
 
     A run of more than 15 digits is cut as ``wedge._abridged`` cuts a count,
     read as text since an echoed argument may be past the interpreter's
-    limit on int().  Then any run of more than 128 characters, all of them
-    whitespace or quotes or none of them, keeps its first 32 and its length.
-    A line still over 192 characters, such as one echoing many short words,
-    keeps its first 160 and its length.
+    limit on int().  Then any run of more than 128 bytes, all of it
+    whitespace or quotes or none of it, keeps its first 32 bytes and its
+    length.  A line still over 192 bytes, such as one echoing many short
+    words, keeps its first 160 bytes and its length.  Bytes are counted as
+    ``_size`` counts them; a cut keeps whole characters, and the length it
+    prints is in characters.
     """
     text = re.sub(r"\d{16,}", lambda run: f"{run[0][:4]}... ({len(run[0])} digits)", text)
-    text = re.sub(r"[^\s'\"]{129,}|[\s'\"]{129,}", lambda run: f"{run[0][:32]}... ({len(run[0])} characters)", text)
-    return re.sub(r"(?m)^(.{160}).{33,}$", lambda line: f"{line[1]}... ({len(line[0])} characters)", text)
+    text = re.sub(r"[^\s'\"]+|[\s'\"]+", lambda run: _cut(run[0], 128, 32), text)
+    return "\n".join(_cut(line, 192, 160) for line in text.split("\n"))
+
+
+def _cut(text: str, most: int, keep: int) -> str:
+    """``text`` if it is at most ``most`` bytes, else its whole characters within ``keep`` bytes and its length."""
+    if _size(text) <= most:
+        return text
+    kept = sum(1 for _ in itertools.takewhile(lambda end: end <= keep, itertools.accumulate(map(_size, text))))
+    return f"{text[:kept]}... ({len(text)} characters)"
+
+
+def _size(text: str) -> int:
+    """The bytes ``text`` takes on a UTF-8 stderr, where an argument's undecodable byte prints as a 6-byte escape."""
+    return len(text.encode("utf-8", "backslashreplace"))
 
 
 def _write(text: str, path: Optional[str]) -> None:
@@ -58,7 +76,9 @@ def _single_input(args: argparse.Namespace) -> PointConfig:
     return read_point_config(args.input[0])
 
 
-def _parse_grid(text: str) -> GridSpec:
+def _parse_grid(text: str) -> "GridSpec":
+    from .harness import GridSpec
+
     try:
         w, h = map(int, text.lower().split("x"))
     except ValueError as exc:
@@ -67,6 +87,8 @@ def _parse_grid(text: str) -> GridSpec:
 
 
 def _cmd_wedge(args: argparse.Namespace) -> int:
+    from .wedge import wedge_power
+
     config = _single_input(args)
     in_range = 0 <= args.p <= len(config)
     if not in_range:
@@ -80,6 +102,8 @@ def _cmd_wedge(args: argparse.Namespace) -> int:
 
 
 def _cmd_check_convex(args: argparse.Namespace) -> int:
+    from .wedge import check_lattice_convex
+
     config = _single_input(args)
     report = check_lattice_convex(config)
     _write(dumps(report.to_json()), args.output)
@@ -87,6 +111,8 @@ def _cmd_check_convex(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_polygon(args: argparse.Namespace) -> int:
+    from .harness import verify_polygon
+
     config = _single_input(args)
     report = verify_polygon(config)
     _write(dumps(report.to_json()), args.output)
@@ -94,12 +120,16 @@ def _cmd_verify_polygon(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_grid(args: argparse.Namespace) -> int:
+    from .harness import verify_grid
+
     summary = verify_grid(_parse_grid(args.grid), jobs=args.jobs)
     _write(dumps(summary.to_json()), args.output)
     return 0 if not summary.violations else 2
 
 
 def _cmd_p_good(args: argparse.Namespace) -> int:
+    from .harness import is_p_good
+
     config = _single_input(args)
     witness = is_p_good(config, args.p)
     payload = {
@@ -112,7 +142,9 @@ def _cmd_p_good(args: argparse.Namespace) -> int:
 
 
 def _cmd_cornercut(args: argparse.Namespace) -> int:
-    report = cornercut_mod.verify_corner_cut(args.d, args.B)
+    from .cornercut import verify_corner_cut
+
+    report = verify_corner_cut(args.d, args.B)
     payload = {
         "d": args.d,
         "B": args.B,
@@ -125,7 +157,9 @@ def _cmd_cornercut(args: argparse.Namespace) -> int:
 
 
 def _cmd_counterexample3d(args: argparse.Namespace) -> int:
-    report = cx3d.verify_counterexample()
+    from .counterexample3d import verify_counterexample
+
+    report = verify_counterexample()
     _write(dumps(report.to_json()), args.output)
     return 0 if report.holds else 2
 
@@ -150,6 +184,8 @@ def _cmd_equivalent(args: argparse.Namespace) -> int:
 
 
 def _cmd_render(args: argparse.Namespace) -> int:
+    from .render import render_svg
+
     config = _single_input(args)
     _write(render_svg(config, show_hull=args.hull), args.output)
     return 0

@@ -26,7 +26,6 @@ included, goes through the pure-Python ``points_of`` and never pays for
 the import.
 """
 
-import hashlib
 import itertools
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -95,10 +94,9 @@ class SubsetSumTable:
         # the negative values among the depth smallest, the positive among the depth largest
         self.box_lo = tuple(sum(col[: min(depth, bisect_left(col, 0))]) for col in columns)
         self.box_hi = tuple(sum(col[max(len(col) - depth, bisect_right(col, 0)) :]) for col in columns)
-        self._digest_box = (
-            tuple(min(0, depth * col[0]) for col in columns),
-            tuple(max(0, depth * col[-1]) for col in columns),
-        )
+        # digest reads its box off the build depth and each column's extremes; a derived table keeps its parent's
+        self._digest_depth = depth
+        self._extremes = tuple((col[0], col[-1]) for col in columns)
         shape = [hi - lo + 1 for lo, hi in zip(self.box_lo, self.box_hi)]
         strides = [1] * self.dim
         for d in range(1, self.dim):
@@ -262,7 +260,8 @@ class SubsetSumTable:
 
         The layer is hashed as laid out in the digest box, each coordinate
         [min(0, depth * lo), max(0, depth * hi)] for its input range [lo, hi]
-        (a derived table keeps the digest box of the table it grew from), so
+        and the depth it was built with (a derived table keeps the depth and
+        ranges of the table it grew from), so
         fingerprints do not depend on the box the table is built in.  The
         layout is built and hashed one slab of planes along the last
         coordinate at a time: the layer's bit grid is copied into the slab at
@@ -270,9 +269,12 @@ class SubsetSumTable:
         number of bytes, about _DIGEST_CHUNK of them, and never fewer than
         the 8 / gcd(plane cells, 8) planes that make one.
         """
+        import hashlib  # loaded here, as its import maps OpenSSL into every process that loads this module
+
         import numpy as np
 
-        lo, hi = self._digest_box
+        lo = tuple(min(0, self._digest_depth * low) for low, _ in self._extremes)
+        hi = tuple(max(0, self._digest_depth * high) for _, high in self._extremes)
         shape = [b - a + 1 for a, b in zip(lo, hi)]
         cells = prod(shape)
         if cells > TABLE_BIT_BUDGET:
@@ -333,7 +335,12 @@ class ConvexityReport:
     cardinality: int
 
     def reflected(self, pivot: Point) -> "ConvexityReport":
-        """The report on the set's point reflection p -> pivot - p: same verdict and size, missing points reflected."""
+        """The report on the set's point reflection p -> pivot - p: same verdict and size, missing points reflected.
+
+        A report that misses nothing is its own reflection.
+        """
+        if not self.missing:
+            return self
         return ConvexityReport(self.convex, _reflect(self.missing, pivot), self.cardinality)
 
     def to_json(self) -> dict:

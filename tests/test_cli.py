@@ -463,6 +463,22 @@ class TestErrorHandling:
         assert len(err.encode()) < 200
         assert err.startswith(start) and err.endswith(" characters)\n")
 
+    @pytest.mark.parametrize(
+        "grid, cut",
+        [
+            ("\U0001F600" * 128, "got '" + "\U0001F600" * 8 + "... (128 characters)'\n"),
+            (" ".join(["\U0001F600"] * 2500), "\U0001F600 ... (5039 characters)\n"),
+        ],
+        ids=["emoji-run", "emoji-words"],
+    )
+    def test_wide_characters_are_cut_by_their_encoded_length(self, capsys, grid, cut):
+        # counted in characters, 128 four-byte emoji made no long run and printed 553 bytes,
+        # and 2,500 of them between spaces made a line that printed 365 bytes
+        code, out, err = run(capsys, "verify-grid", "--grid", grid)
+        assert (code, out) == (1, "")
+        assert len(err.encode()) < 200
+        assert err.startswith("--grid expects WxH with integers, got '") and err.endswith(cut)
+
     def test_long_string_coordinate_is_echoed_abridged(self, capsys, tmp_path):
         wordy = tmp_path / "wordy.json"
         wordy.write_text('{"dim": 2, "points": [["' + "a" * 5000 + '", 0]]}')

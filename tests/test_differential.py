@@ -735,7 +735,7 @@ def _assert_stem_tables_match(config, depth):
     assert vars(base) == vars(reference_base)
     assert len(deletions) == len(references)
     for table, reference in zip(deletions, references):
-        # every attribute: box, depth, digest box and each layer's bits
+        # every attribute: box, depth, the depth and ranges the digest reads, and each layer's bits
         assert vars(table) == vars(reference), (config, depth)
 
 

@@ -481,5 +481,6 @@ class TestPublicSurface:
         assert sorted(wedgepower.__all__) == sorted(self.EXPORTED)
         for name in wedgepower.__all__:
             assert getattr(wedgepower, name) is not None
-        public = {n for n, v in vars(wedgepower).items() if not n.startswith("_") and not inspect.ismodule(v)}
+        # the names are resolved on access, not held in the package's namespace, so dir() lists them
+        public = {n for n in dir(wedgepower) if not n.startswith("_") and not inspect.ismodule(getattr(wedgepower, n))}
         assert public == set(wedgepower.__all__)

@@ -2,15 +2,14 @@
 
 ``perfbench/spans.py`` rebinds the methods it names in ``METHODS`` by
 looking each one up in its class's ``__dict__``, so deleting or renaming
-one of them breaks every traced benchmark run.  This test enters and exits
-a ``Tracer`` over the loaded package, so such a deletion fails here too.
+one of them breaks every traced benchmark run.  This test imports the
+modules ``METHODS`` names, then enters and exits a ``Tracer`` over them, so
+such a deletion fails here too.
 """
 
+import importlib
 import importlib.util
-import sys
 from pathlib import Path
-
-import wedgepower.cli  # noqa: F401  (loads every module the tracer rebinds)
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -20,7 +19,7 @@ def test_tracer_wraps_and_restores_every_method_it_names():
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
     named = {
-        (getattr(sys.modules[f"wedgepower.{short}"], cls_name), method)
+        (getattr(importlib.import_module(f"wedgepower.{short}"), cls_name), method)
         for short, classes in spans.METHODS.items()
         for cls_name, methods in classes.items()
         for method in methods
