@@ -12,10 +12,13 @@ looked up in its home module when it is read (PEP 562), so a command that
 checks planar sets never loads the 3D witness, the corner cut or the
 renderer.  The name is not kept in the package afterwards: it is read
 through its module every time, so anything that rebinds a module's
-function, such as a tracer, is seen through the package too.
+function, such as a tracer, is seen through the package too.  A loaded
+module is read from ``sys.modules``, so only the first read of a name
+goes through the import machinery.
 """
 
 import importlib
+import sys
 
 __version__ = "0.1.0"
 
@@ -64,7 +67,8 @@ def __getattr__(name: str):
     module = _HOME.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    home = f"{__name__}.{module}"
+    return getattr(sys.modules.get(home) or importlib.import_module(home), name)
 
 
 def __dir__() -> list[str]:

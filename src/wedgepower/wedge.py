@@ -11,7 +11,9 @@ the order does not change it, but a shift costs time linear in the length
 of the integer it makes, and small offsets first keep every layer short
 until the last points.  A table asked for a single layer d (the 3D witness,
 ``wedge_power``) updates layer c only while c >= d - (points still to
-feed), since no lower layer can still reach d.
+feed), since no lower layer can still reach d, and keeps each layer in a
+box of its own: layer c holds only sums from the c smallest to the c
+largest values of each coordinate.
 
 A planar layer is lattice-convex exactly when its hull holds as many
 lattice points as the layer has bits.  ``hull_count`` counts them from the
@@ -30,7 +32,7 @@ import itertools
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from math import gcd, prod
-from operator import add, mul
+from operator import add, mul, sub
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from .geometry import BudgetError, DimensionError, Point, PointConfig, _ceil_envelope, _lower_chain
@@ -46,14 +48,14 @@ _SET_BITS = tuple(tuple(i for i in range(8) if byte >> i & 1) for byte in range(
 class SubsetSumTable:
     """Exactly-c subset sums of an integer point set, for all c up to ``depth``.
 
-    Points are flattened into a dense box that holds exactly the reachable
-    range of every coordinate: from the sum of the negative values among its
-    ``depth`` smallest to the sum of the positive values among its ``depth``
-    largest.  Every sum of at most ``depth`` distinct points, the empty sum
-    (the origin) included, lies in it, so a shifted OR can never alias a bit
-    into a neighbouring row.  Layer bitsets live in arbitrary-precision
-    integers: shifting by a point's flattened offset adds that point to
-    every sum of the layer below in one operation.
+    A full table flattens points into a dense box that holds exactly the
+    reachable range of every coordinate: from the sum of the negative
+    values among its ``depth`` smallest to the sum of the positive values
+    among its ``depth`` largest.  Every sum of at most ``depth`` distinct
+    points, the empty sum (the origin) included, lies in it, so a shifted OR
+    can never alias a bit into a neighbouring row.  Layer bitsets live in
+    arbitrary-precision integers: shifting by a point's flattened offset
+    adds that point to every sum of the layer below in one operation.
 
     ``_derived`` builds further tables in the same box, so a bit means the
     same point in all of them.  A table of more than TABLE_BIT_BUDGET bits
@@ -68,7 +70,15 @@ class SubsetSumTable:
     so reading any other layer raises ValueError, and so does growing a
     table from it with ``_derived``.  Of N points, at most N - depth + 2
     of its layers are nonempty at once, so it holds min(depth + 1,
-    N - depth + 2) layers where a full table holds depth + 1.
+    N - depth + 2) layers where a full table holds depth + 1.  Its layers
+    are not laid out from the origin: layer c starts, per coordinate, at
+    the sum of the c smallest values, all layers share one shape, as wide
+    as the widest of them (the c largest values less the c smallest, for
+    some c up to the depth), and the table's box is layer ``depth``'s.
+    That box is never wider than a full table's, lies inside the digest's,
+    and keeps its cells when the points are translated, so a set far from
+    the origin costs what the same set near it does.  Only a full table's
+    box always contains the origin.
     """
 
     def __init__(
@@ -91,13 +101,21 @@ class SubsetSumTable:
         self.dim = dim
         self.depth = depth
         columns = [sorted(col) for col in zip(*points)] if points else [[0]] * self.dim
-        # the negative values among the depth smallest, the positive among the depth largest
-        self.box_lo = tuple(sum(col[: min(depth, bisect_left(col, 0))]) for col in columns)
-        self.box_hi = tuple(sum(col[max(len(col) - depth, bisect_right(col, 0)) :]) for col in columns)
+        if _one_layer:
+            # layer c from the sum of each column's c smallest values, as wide as the widest layer up to the depth
+            lows = [list(itertools.accumulate(col[:depth], initial=0)) for col in columns]
+            highs = [itertools.accumulate(col[::-1][:depth], initial=0) for col in columns]
+            shape = [max(map(sub, high, low)) + 1 for low, high in zip(lows, highs)]
+            self.box_lo = tuple(low[-1] for low in lows)
+            self.box_hi = tuple(lo + n - 1 for lo, n in zip(self.box_lo, shape))
+        else:
+            # the negative values among the depth smallest, the positive among the depth largest
+            self.box_lo = tuple(sum(col[: min(depth, bisect_left(col, 0))]) for col in columns)
+            self.box_hi = tuple(sum(col[max(len(col) - depth, bisect_right(col, 0)) :]) for col in columns)
+            shape = [hi - lo + 1 for lo, hi in zip(self.box_lo, self.box_hi)]
         # digest reads its box off the build depth and each column's extremes; a derived table keeps its parent's
         self._digest_depth = depth
         self._extremes = tuple((col[0], col[-1]) for col in columns)
-        shape = [hi - lo + 1 for lo, hi in zip(self.box_lo, self.box_hi)]
         strides = [1] * self.dim
         for d in range(1, self.dim):
             strides[d] = strides[d - 1] * shape[d - 1]
@@ -112,7 +130,12 @@ class SubsetSumTable:
             )
 
         self._one_layer = _one_layer
-        self._layers = [1 << self._flatten((0,) * self.dim)] + [0] * depth
+        if _one_layer:
+            # a sum moving from layer c - 1 to layer c moves to a box that starts higher by the c-th smallest values
+            self._steps = [0] + [sum(map(mul, values, strides)) for values in zip(*(col[:depth] for col in columns))]
+            self._layers = [1] + [0] * depth  # the empty sum, at the low corner of layer 0's box
+        else:
+            self._layers = [1 << self._flatten((0,) * self.dim)] + [0] * depth
         self._feed(points)
 
     def _feed(self, points: Iterable[Point]) -> None:
@@ -128,9 +151,13 @@ class SubsetSumTable:
         the last coordinate's large stride in early and widens every layer
         at once.
 
-        A one-layer table skips layer c while c + (points still to feed) <
-        depth, as it can no longer reach the depth, and zeroes each layer
-        as soon as no later point reads it.
+        A full table takes the plain loop.  A one-layer table skips layer c
+        while c + (points still to feed) < depth, as it can no longer reach
+        the depth, and zeroes each layer as soon as no later point reads it.
+        Its layer c starts higher than layer c - 1 by the c-th smallest value
+        of each coordinate, so a point moves a sum into it by its offset less
+        that step's flat offset.  A negative move is a right shift and drops
+        no bit: every sum of c distinct points lies in layer c's box.
         """
         layers, depth = self._layers, self.depth
         columns = zip(*points)
@@ -138,16 +165,24 @@ class SubsetSumTable:
         for column, stride in zip(columns, self._strides[1:]):
             offsets = list(map(add, offsets, map(mul, column, itertools.repeat(stride))))
         offsets.sort()
-        todo = len(offsets)
+        if not self._one_layer:
+            for offset in offsets:
+                for c in range(depth, 0, -1):
+                    below = layers[c - 1]
+                    if below:
+                        layers[c] |= (below << offset) if offset >= 0 else (below >> -offset)
+            return
+        steps, todo = self._steps, len(offsets)
         for offset in offsets:
             todo -= 1
-            low = max(depth - todo, 1) if self._one_layer else 1
+            low = max(depth - todo, 1)
             if low > 1:
                 layers[low - 2] = 0  # no point from here on reads below layer low - 1
             for c in range(depth, low - 1, -1):
                 below = layers[c - 1]
                 if below:
-                    layers[c] |= (below << offset) if offset >= 0 else (below >> -offset)
+                    shift = offset - steps[c]
+                    layers[c] |= (below << shift) if shift >= 0 else (below >> -shift)
 
     def _derived(self, points: Iterable[Point], layers: Optional[list[int]] = None) -> "SubsetSumTable":
         """A table in this box that starts from ``layers`` (this table's own by default) and is fed ``points``.
@@ -267,7 +302,8 @@ class SubsetSumTable:
         coordinate at a time: the layer's bit grid is copied into the slab at
         the table box's offset inside the digest box.  A slab is a whole
         number of bytes, about _DIGEST_CHUNK of them, and never fewer than
-        the 8 / gcd(plane cells, 8) planes that make one.
+        the 8 / gcd(plane cells, 8) planes that make one.  A slab outside the
+        table box is all zeros and is hashed from one buffer of zero bytes.
         """
         import hashlib  # loaded here, as its import maps OpenSSL into every process that loads this module
 
@@ -291,14 +327,20 @@ class SubsetSumTable:
         # the table box inside the digest box: its first plane, and its extent within a plane
         first = self.box_lo[-1] - lo[-1]
         inner = tuple(slice(b - a, b - a + n) for a, b, n in zip(lo[-2::-1], self.box_lo[-2::-1], grid.shape[1:]))
+        zeros = memoryview(bytes(planes * plane_cells // 8))  # the bytes of any slab outside the table box
+        slab = np.zeros((planes, *plane_shape), dtype=bool)  # one buffer for the slabs inside it
         h = hashlib.sha256()
         h.update(repr((self.dim, lo, hi, size)).encode())
         for start in range(0, shape[-1], planes):
-            slab = np.zeros((min(planes, shape[-1] - start), *plane_shape), dtype=bool)
-            a, b = max(start, first), min(start + len(slab), first + len(grid))
-            if a < b:
-                slab[(slice(a - start, b - start), *inner)] = grid[a - first : b - first]
-            h.update(np.packbits(slab, bitorder="little").tobytes())
+            count = min(planes, shape[-1] - start)
+            a, b = max(start, first), min(start + count, first + len(grid))
+            if a >= b:
+                h.update(zeros[: (count * plane_cells + 7) // 8])
+                continue
+            part = slab[:count]
+            part[: a - start] = part[b - start :] = False  # planes outside the table box that an earlier slab set
+            part[(slice(a - start, b - start), *inner)] = grid[a - first : b - first]
+            h.update(np.packbits(part, bitorder="little").tobytes())
         return h.hexdigest()
 
 

@@ -83,6 +83,18 @@ class TestWedgeCommand:
         assert (code, out) == (1, "")
         assert "table budget" in err
 
+    def test_far_translate_is_accepted(self, capsys, tmp_path):
+        # a one-layer table's box is as wide as its layers, wherever the set lies: 2 x 2 cells
+        far = tmp_path / "far.json"
+        far.write_text(json.dumps({"dim": 2, "points": [[10**12, 5], [10**12 + 1, 5], [10**12, 6]]}))
+        code, out, _ = run(capsys, "wedge", "--input", far, "-p", "2")
+        assert code == 0
+        assert json.loads(out) == {
+            "dim": 2,
+            "points": [[2 * 10**12, 11], [2 * 10**12 + 1, 10], [2 * 10**12 + 1, 11]],
+            "in_range": True,
+        }
+
     def test_out_of_memory(self, capsys, monkeypatch, e1_file):
         def exhausted(*args, **kwargs):
             raise MemoryError

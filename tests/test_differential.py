@@ -459,7 +459,6 @@ def test_one_layer_tables_hold_the_full_tables_layer(points):
         one = SubsetSumTable(points, depth, _one_layer=True)
         full = SubsetSumTable(points, depth)
         expected = oracles.naive_wedge(points, depth)
-        assert one.layer(depth) == full.layer(depth)
         assert one.count(depth) == full.count(depth) == len(expected)
         assert one.points_at(depth) == full.points_at(depth)
         assert one.digest(depth) == full.digest(depth)
@@ -476,6 +475,35 @@ def test_one_layer_tables_hold_the_full_tables_layer(points):
             one._derived([])
         with pytest.raises(ValueError, match=f"holds only layer {depth}"):
             one._derived(points[:1], [one.layer(depth)])
+
+
+@given(tables())
+@example(([(-3,), (2,), (-1,), (3,)], 3))
+@example(([(-1, 2, -3), (3, -2, 1), (0, 0, -1), (-2, -2, 2)], 2))
+def test_one_layer_boxes_fit_their_layer(case):
+    points, depth = case
+    one, full = SubsetSumTable(points, depth, _one_layer=True), SubsetSumTable(points, depth)
+    assert all(a <= b for a, b in zip(one._shape, full._shape))
+    # inside the digest box, depth times each coordinate's extremes with the origin
+    columns = list(zip(*points))
+    assert all(min(0, depth * min(col)) <= lo for lo, col in zip(one.box_lo, columns))
+    assert all(hi <= max(0, depth * max(col)) for hi, col in zip(one.box_hi, columns))
+    if 2 * depth <= len(points):  # the widest layer is the last one: the box is exactly the layer's
+        expected = oracles.naive_wedge(points, depth)
+        assert one.box_lo == tuple(map(min, zip(*expected)))
+        assert one.box_hi == tuple(map(max, zip(*expected)))
+
+
+@given(tables(), st.lists(st.integers(-(10**30), 10**30), min_size=3, max_size=3))
+@example(([(0, 0), (1, 0), (0, 1)], 2), [10**30, -(10**30), 0])
+def test_one_layer_boxes_do_not_grow_under_translation(case, vector):
+    # far from the origin, where a full table's box would reach 10^30 cells per coordinate
+    points, depth = case
+    shift = vector[: len(points[0])]
+    moved = [tuple(c + t for c, t in zip(p, shift)) for p in points]
+    one, far = SubsetSumTable(points, depth, _one_layer=True), SubsetSumTable(moved, depth, _one_layer=True)
+    assert far.total_cells == one.total_cells
+    assert far.points_at(depth) == [tuple(c + depth * t for c, t in zip(p, shift)) for p in one.points_at(depth)]
 
 
 # --- the normal form and its equivalence maps against the search -------------

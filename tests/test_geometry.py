@@ -1,3 +1,4 @@
+import importlib
 import inspect
 import random
 import tracemalloc
@@ -484,3 +485,16 @@ class TestPublicSurface:
         # the names are resolved on access, not held in the package's namespace, so dir() lists them
         public = {n for n in dir(wedgepower) if not n.startswith("_") and not inspect.ismodule(getattr(wedgepower, n))}
         assert public == set(wedgepower.__all__)
+
+    def test_a_loaded_module_is_read_without_the_import_machinery(self, monkeypatch):
+        import wedgepower.cornercut as cornercut
+
+        def refuse(name, package=None):
+            raise AssertionError(f"import_module({name!r}) called for a loaded module")
+
+        monkeypatch.setattr(importlib, "import_module", refuse)
+        assert wedgepower.verify_corner_cut is cornercut.verify_corner_cut
+        # never cached in the package: a rebinding of the module's name shows through it
+        rebound = object()
+        monkeypatch.setattr(cornercut, "verify_corner_cut", rebound)
+        assert wedgepower.verify_corner_cut is rebound

@@ -301,17 +301,19 @@ class TestSubsetSumTable:
             SubsetSumTable(pts, 2)
 
     def test_one_layer_budget_charges_the_layers_it_holds(self, monkeypatch):
-        # the points 0..4 at depth 4: box [0, 10], 11 cells; a one-layer table holds
-        # at most 5 - 4 + 2 = 3 layers at once, a full table all 5, and each
-        # shifted OR 2 more
+        # the points 0..4 at depth 4: a full table's box is [0, 10], 11 cells; a
+        # one-layer table's is [6, 12], as wide as its widest layers (sums 1..7 of
+        # two points, 3..9 of three), 7 cells; it holds at most 5 - 4 + 2 = 3 layers
+        # at once, a full table all 5, and each shifted OR 2 more
         config = PointConfig.of([(i,) for i in range(5)])
-        monkeypatch.setattr(wedge_module, "TABLE_BIT_BUDGET", 55)
-        assert SubsetSumTable(config.points, 4, _one_layer=True).total_cells == 11
+        monkeypatch.setattr(wedge_module, "TABLE_BIT_BUDGET", 35)
+        one = SubsetSumTable(config.points, 4, _one_layer=True)
+        assert (one.box_lo, one.box_hi, one.total_cells) == ((6,), (12,), 7)
         assert wedge_power(config, 4).points == ((6,), (7,), (8,), (9,), (10,))
         with pytest.raises(BudgetError, match=r"11 cells x 7 layers \(5 held and 2 in a shifted OR\)"):
             SubsetSumTable(config.points, 4)
-        monkeypatch.setattr(wedge_module, "TABLE_BIT_BUDGET", 54)
-        with pytest.raises(BudgetError, match=r"11 cells x 5 layers \(3 held and 2 in a shifted OR\)"):
+        monkeypatch.setattr(wedge_module, "TABLE_BIT_BUDGET", 34)
+        with pytest.raises(BudgetError, match=r"7 cells x 5 layers \(3 held and 2 in a shifted OR\)"):
             wedge_power(config, 4)
 
     def test_one_layer_feed_holds_no_more_layers_than_charged(self, monkeypatch):
@@ -338,7 +340,7 @@ class TestSubsetSumTable:
     @pytest.mark.parametrize(
         "points, depth, one_layer",
         [
-            ([(i * 200_000,) for i in range(40)], 39, True),  # 156,000,001 cells x (3 + 2) layers
+            ([(i * 200_000,) for i in range(40)], 39, True),  # 80,000,001 cells (layer 20 is widest) x (3 + 2) layers
             # the far point comes last and stretches layers 1..11 to the whole box at once
             ([(i,) for i in range(10)] + [(2_000_000,)], 11, False),  # 2,000,046 cells x (12 + 2) layers
         ],
