@@ -96,11 +96,11 @@ def enumerate_lattice_convex(grid: GridSpec) -> list[PointConfig]:
 def _tables(config: PointConfig, depth: int) -> tuple[SubsetSumTable, list[SubsetSumTable]]:
     """The base table and each vertex deletion's, all at ``depth``.
 
-    All of them share one box, so wedges compare with integer AND and OR.
-    Every deletion keeps the points that are not vertices, so they are fed
-    once, into a stem in the base table's box; each deletion table is the
-    stem with the other vertices fed in.  Layers are sets of sums, which
-    do not depend on the order points are fed in.  A deletion has one
+    All of them share one layout, so wedges compare with integer AND and
+    OR.  Every deletion keeps the points that are not vertices, so they are
+    fed once, into a stem in the base table's layout; each deletion table
+    is the stem with the other vertices fed in.  Layers are sets of sums,
+    which do not depend on the order points are fed in.  A deletion has one
     point fewer than the base, so at depth N its layer N is empty.
     """
     vertices = vertex_set(config)
@@ -123,7 +123,7 @@ def is_p_good(config: PointConfig, subset_size: int) -> Optional[Point]:
         raise ValueError("subset size must be between 1 and N-1")
     base, deletions = _tables(config, subset_size)
     common = _common_layer(deletions, subset_size)
-    return min(base.points_of(common)) if common else None
+    return min(base.points_of(subset_size, common)) if common else None
 
 
 def _common_layer(deletions: list[SubsetSumTable], size: int) -> int:

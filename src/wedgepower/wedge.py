@@ -1,19 +1,18 @@
 """Sums of fixed-size subsets of a lattice point set, computed exactly.
 
 The workhorse is a layered subset-sum table: layer c holds a bitset over a
-dense integer box marking every sum of c distinct points seen so far.  The
-box spans, per coordinate, only the sums that at most ``depth`` distinct
-points can reach.  Feeding one point at a time and updating layers from the
-top down keeps each point to a single use, and the whole update is one
-shifted OR on a big integer, so the inner loop is bit-parallel.  Points are
-fed in ascending order of their flat offset: a layer is a set of sums, so
-the order does not change it, but a shift costs time linear in the length
-of the integer it makes, and small offsets first keep every layer short
-until the last points.  A table asked for a single layer d (the 3D witness,
-``wedge_power``) updates layer c only while c >= d - (points still to
-feed), since no lower layer can still reach d, and keeps each layer in a
-box of its own: layer c holds only sums from the c smallest to the c
-largest values of each coordinate.
+dense integer box of its own marking every sum of c distinct points seen
+so far.  The box starts, per coordinate, at the sum of the c smallest
+values, so it holds the sums up to the c largest and keeps its cells when
+the points are translated.  Feeding one point at a time and updating
+layers from the top down keeps each point to a single use, and the whole
+update is one shifted OR on a big integer, so the inner loop is
+bit-parallel.  Points are fed in ascending order of their flat offset: a
+layer is a set of sums, so the order does not change it, but a shift costs
+time linear in the length of the integer it makes, and small offsets first
+keep every layer short until the last points.  A table asked for a single
+layer d (the 3D witness, ``wedge_power``) updates layer c only while
+c >= d - (points still to feed), since no lower layer can still reach d.
 
 A planar layer is lattice-convex exactly when its hull holds as many
 lattice points as the layer has bits.  ``hull_count`` counts them from the
@@ -29,7 +28,6 @@ the import.
 """
 
 import itertools
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from math import gcd, prod
 from operator import add, mul, sub
@@ -48,18 +46,22 @@ _SET_BITS = tuple(tuple(i for i in range(8) if byte >> i & 1) for byte in range(
 class SubsetSumTable:
     """Exactly-c subset sums of an integer point set, for all c up to ``depth``.
 
-    A full table flattens points into a dense box that holds exactly the
-    reachable range of every coordinate: from the sum of the negative
-    values among its ``depth`` smallest to the sum of the positive values
-    among its ``depth`` largest.  Every sum of at most ``depth`` distinct
-    points, the empty sum (the origin) included, lies in it, so a shifted OR
-    can never alias a bit into a neighbouring row.  Layer bitsets live in
-    arbitrary-precision integers: shifting by a point's flattened offset
-    adds that point to every sum of the layer below in one operation.
+    Every table has one layout.  Layer c flattens points into a dense box of
+    its own that starts, per coordinate, at the sum of the c smallest values
+    and holds every sum of c distinct points.  All layers share one shape,
+    as wide as the widest of them: the c largest values less the c smallest
+    grow while c <= N / 2 of N points, so the widest is layer min(depth,
+    N // 2).  The table's box, ``box_lo`` to ``box_hi``, is layer
+    ``depth``'s.  A shifted OR can never alias a bit into a neighbouring
+    row, and the layout keeps its cells when the points are translated, so
+    a set far from the origin costs what the same set near it does.  Layer
+    bitsets live in arbitrary-precision integers: shifting by a point's
+    flattened offset adds that point to every sum of the layer below in one
+    operation.
 
-    ``_derived`` builds further tables in the same box, so a bit means the
-    same point in all of them.  A table of more than TABLE_BIT_BUDGET bits
-    is refused with BudgetError before anything is allocated: it is
+    ``_derived`` builds further tables in the same layout, so a bit means
+    the same point in all of them.  A table of more than TABLE_BIT_BUDGET
+    bits is refused with BudgetError before anything is allocated: it is
     charged its cells times the layers it holds plus two, for the shifted
     copy and the new layer that each shifted OR briefly holds beside the
     old one.  ``digest`` lays layers out in a box of its own, which is why
@@ -70,15 +72,7 @@ class SubsetSumTable:
     so reading any other layer raises ValueError, and so does growing a
     table from it with ``_derived``.  Of N points, at most N - depth + 2
     of its layers are nonempty at once, so it holds min(depth + 1,
-    N - depth + 2) layers where a full table holds depth + 1.  Its layers
-    are not laid out from the origin: layer c starts, per coordinate, at
-    the sum of the c smallest values, all layers share one shape, as wide
-    as the widest of them (the c largest values less the c smallest, for
-    some c up to the depth), and the table's box is layer ``depth``'s.
-    That box is never wider than a full table's, lies inside the digest's,
-    and keeps its cells when the points are translated, so a set far from
-    the origin costs what the same set near it does.  Only a full table's
-    box always contains the origin.
+    N - depth + 2) layers where a full table holds depth + 1.
     """
 
     def __init__(
@@ -101,19 +95,14 @@ class SubsetSumTable:
         self.dim = dim
         self.depth = depth
         columns = [sorted(col) for col in zip(*points)] if points else [[0]] * self.dim
-        if _one_layer:
-            # layer c from the sum of each column's c smallest values, as wide as the widest layer up to the depth
-            lows = [list(itertools.accumulate(col[:depth], initial=0)) for col in columns]
-            highs = [itertools.accumulate(col[::-1][:depth], initial=0) for col in columns]
-            shape = [max(map(sub, high, low)) + 1 for low, high in zip(lows, highs)]
-            self.box_lo = tuple(low[-1] for low in lows)
-            self.box_hi = tuple(lo + n - 1 for lo, n in zip(self.box_lo, shape))
-        else:
-            # the negative values among the depth smallest, the positive among the depth largest
-            self.box_lo = tuple(sum(col[: min(depth, bisect_left(col, 0))]) for col in columns)
-            self.box_hi = tuple(sum(col[max(len(col) - depth, bisect_right(col, 0)) :]) for col in columns)
-            shape = [hi - lo + 1 for lo, hi in zip(self.box_lo, self.box_hi)]
-        # digest reads its box off the build depth and each column's extremes; a derived table keeps its parent's
+        # the widest layer's sums, from its c smallest values to its c largest, set the shape
+        widest = min(depth, len(points) // 2)
+        shape = [sum(col[len(col) - widest :]) - sum(col[:widest]) + 1 for col in columns]
+        # layer c starts at the sum of each column's c smallest values; a derived table keeps its parent's
+        self._smallest = tuple(col[:depth] for col in columns)
+        self.box_lo = self._origin(depth)
+        self.box_hi = tuple(lo + n - 1 for lo, n in zip(self.box_lo, shape))
+        # digest reads its box off the build depth and each column's extremes
         self._digest_depth = depth
         self._extremes = tuple((col[0], col[-1]) for col in columns)
         strides = [1] * self.dim
@@ -130,12 +119,9 @@ class SubsetSumTable:
             )
 
         self._one_layer = _one_layer
-        if _one_layer:
-            # a sum moving from layer c - 1 to layer c moves to a box that starts higher by the c-th smallest values
-            self._steps = [0] + [sum(map(mul, values, strides)) for values in zip(*(col[:depth] for col in columns))]
-            self._layers = [1] + [0] * depth  # the empty sum, at the low corner of layer 0's box
-        else:
-            self._layers = [1 << self._flatten((0,) * self.dim)] + [0] * depth
+        # a sum moving from layer c - 1 to layer c moves to a box that starts higher by the c-th smallest values
+        self._steps = [0] + [sum(map(mul, values, strides)) for values in zip(*self._smallest)]
+        self._layers = [1] + [0] * depth  # the empty sum, at the low corner of layer 0's box: the origin
         self._feed(points)
 
     def _feed(self, points: Iterable[Point]) -> None:
@@ -151,31 +137,26 @@ class SubsetSumTable:
         the last coordinate's large stride in early and widens every layer
         at once.
 
-        A full table takes the plain loop.  A one-layer table skips layer c
-        while c + (points still to feed) < depth, as it can no longer reach
-        the depth, and zeroes each layer as soon as no later point reads it.
-        Its layer c starts higher than layer c - 1 by the c-th smallest value
-        of each coordinate, so a point moves a sum into it by its offset less
+        Layer c starts higher than layer c - 1 by the c-th smallest value of
+        each coordinate, so a point moves a sum into it by its offset less
         that step's flat offset.  A negative move is a right shift and drops
-        no bit: every sum of c distinct points lies in layer c's box.
+        no bit: every sum of c distinct points lies in layer c's box.  A
+        one-layer table's window skips layer c while c + (points still to
+        feed) < depth, as it can no longer reach the depth, and zeroes each
+        layer as soon as no later point reads it.
         """
-        layers, depth = self._layers, self.depth
+        layers, depth, steps = self._layers, self.depth, self._steps
         columns = zip(*points)
         offsets = list(next(columns, ()))  # the first coordinate's stride is 1
         for column, stride in zip(columns, self._strides[1:]):
             offsets = list(map(add, offsets, map(mul, column, itertools.repeat(stride))))
         offsets.sort()
-        if not self._one_layer:
-            for offset in offsets:
-                for c in range(depth, 0, -1):
-                    below = layers[c - 1]
-                    if below:
-                        layers[c] |= (below << offset) if offset >= 0 else (below >> -offset)
-            return
-        steps, todo = self._steps, len(offsets)
-        for offset in offsets:
-            todo -= 1
-            low = max(depth - todo, 1)
+        # the lowest layer each point updates: a one-layer table's rises by one a point over the last depth - 1
+        if self._one_layer:
+            lows = itertools.chain(itertools.repeat(1, len(offsets) - depth + 1), range(2, depth + 1))
+        else:
+            lows = itertools.repeat(1)
+        for offset, low in zip(offsets, lows):
             if low > 1:
                 layers[low - 2] = 0  # no point from here on reads below layer low - 1
             for c in range(depth, low - 1, -1):
@@ -185,28 +166,31 @@ class SubsetSumTable:
                     layers[c] |= (below << shift) if shift >= 0 else (below >> -shift)
 
     def _derived(self, points: Iterable[Point], layers: Optional[list[int]] = None) -> "SubsetSumTable":
-        """A table in this box that starts from ``layers`` (this table's own by default) and is fed ``points``.
+        """A table in this layout that starts from ``layers`` (this table's own by default) and is fed ``points``.
 
         Its depth is len(layers) - 1.  It skips the constructor and checks
         nothing, so it may hold fewer points than its depth.  The caller
         vouches for what the constructor would check: that depth is at most
-        this table's, so the budget holds, and this box holds every sum of
-        at most that many of the new table's points.  A one-layer table is
-        refused: its layers below the depth are partial.
+        this table's, so the budget holds, and that every sum it makes is of
+        distinct points of this table, so layer c's box holds every sum of
+        c of them.  A one-layer table is refused: its layers below the depth
+        are partial.
         """
         if self._one_layer:
             raise ValueError(f"a one-layer table holds only layer {self.depth}; no table can grow from it")
         layers = list(self._layers if layers is None else layers)
-        table = object.__new__(SubsetSumTable)  # the box's attributes are immutable and shared
+        table = object.__new__(SubsetSumTable)  # the layout's attributes are immutable and shared
         table.__dict__.update(self.__dict__, depth=len(layers) - 1, _layers=layers)
         table._feed(points)
         return table
 
-    def _flatten(self, point: Point) -> int:
-        return sum((c - lo) * s for c, lo, s in zip(point, self.box_lo, self._strides))
+    def _origin(self, size: int) -> Point:
+        """The low corner of layer ``size``'s box: the sum of each column's ``size`` smallest values.
 
-    def _in_box(self, point: Sequence[int]) -> bool:
-        return all(lo <= c <= hi for c, lo, hi in zip(point, self.box_lo, self.box_hi))
+        A size outside 0..depth reads an empty layer; its corner, a sum of at
+        most the build depth's smallest values, still lies in the digest box.
+        """
+        return tuple(sum(col[:size]) for col in self._smallest)
 
     def contains(self, size: int, point: Sequence[int]) -> bool:
         """Is ``point`` a sum of exactly ``size`` distinct input points?"""
@@ -214,7 +198,10 @@ class SubsetSumTable:
         pt = tuple(point)
         if len(pt) != self.dim:
             raise DimensionError(f"point {pt} has dimension {len(pt)}, the table has dimension {self.dim}")
-        return self._in_box(pt) and bool((layer >> self._flatten(pt)) & 1)
+        cells = tuple(map(sub, pt, self._origin(size)))
+        if not all(0 <= c < n for c, n in zip(cells, self._shape)):
+            return False
+        return bool(layer >> sum(map(mul, cells, self._strides)) & 1)
 
     def count(self, size: int) -> int:
         return self.layer(size).bit_count()
@@ -252,19 +239,20 @@ class SubsetSumTable:
         if count == layer.bit_count():
             return ConvexityReport(True, PointConfig(self.dim, ()), count)
         missing = self.hull_fill(size) & ~layer
-        return ConvexityReport(False, PointConfig.of(self.points_of(missing), dim=self.dim), layer.bit_count())
+        return ConvexityReport(False, PointConfig.of(self.points_of(size, missing), dim=self.dim), layer.bit_count())
 
-    def points_of(self, bits: int) -> list[Point]:
-        """The points of a bitset laid out in this table's box, in flat order.
+    def points_of(self, size: int, bits: int) -> list[Point]:
+        """The points of a bitset laid out in layer ``size``'s box, in flat order.
 
         A walk over the bitset's nonzero bytes with a table of each byte's
         set bits, in plain Python: its cost is linear in the box's bytes
         plus the points found.  The last byte's bits past the box's last
         cell are ignored.
         """
-        cells, first = self.total_cells, self.box_lo[0]
+        cells, origin = self.total_cells, self._origin(size)
+        first = origin[0]
         # (stride, low corner) from the last coordinate down to the second; the first is what remains
-        steps = tuple(zip(self._strides[:0:-1], self.box_lo[:0:-1]))
+        steps = tuple(zip(self._strides[:0:-1], origin[:0:-1]))
         raw = bits.to_bytes((cells + 7) // 8, "little")
         points = []
         for index in itertools.compress(range(len(raw)), raw):
@@ -288,7 +276,7 @@ class SubsetSumTable:
         return np.array(self.points_at(size), dtype=np.int64).reshape(-1, self.dim)
 
     def points_at(self, size: int) -> list[Point]:
-        return self.points_of(self.layer(size))
+        return self.points_of(size, self.layer(size))
 
     def digest(self, size: int) -> str:
         """Stable fingerprint of one layer, for regression comparisons.
@@ -297,13 +285,16 @@ class SubsetSumTable:
         [min(0, depth * lo), max(0, depth * hi)] for its input range [lo, hi]
         and the depth it was built with (a derived table keeps the depth and
         ranges of the table it grew from), so
-        fingerprints do not depend on the box the table is built in.  The
-        layout is built and hashed one slab of planes along the last
-        coordinate at a time: the layer's bit grid is copied into the slab at
-        the table box's offset inside the digest box.  A slab is a whole
-        number of bytes, about _DIGEST_CHUNK of them, and never fewer than
-        the 8 / gcd(plane cells, 8) planes that make one.  A slab outside the
-        table box is all zeros and is hashed from one buffer of zero bytes.
+        fingerprints do not depend on the layout the table is built in.
+        The layout is built and hashed one slab of planes along the last
+        coordinate at a time: the part of the layer's bit grid inside the
+        digest box is copied into the slab at the layer box's offset.  Every
+        sum of ``size`` points lies in the digest box, but the layer's box,
+        as wide as the widest layer, can overhang its high side.  A slab is a
+        whole number of bytes, about _DIGEST_CHUNK of them, and never fewer
+        than the 8 / gcd(plane cells, 8) planes that make one.  A slab outside
+        the layer box is all zeros and is hashed from one buffer of zero
+        bytes.
         """
         import hashlib  # loaded here, as its import maps OpenSSL into every process that loads this module
 
@@ -320,14 +311,16 @@ class SubsetSumTable:
         raw = np.frombuffer(self.layer(size).to_bytes((self.total_cells + 7) // 8, "little"), dtype=np.uint8)
         grid = np.unpackbits(raw, count=self.total_cells, bitorder="little").view(bool).reshape(self._shape[::-1])
         del raw  # grid[z, y, x] in 3D, last coordinate first; the layer's bytes are not kept through the slabs
+        origin = self._origin(size)[::-1]  # the layer box's low corner, last coordinate first; it is >= lo
+        grid = grid[tuple(slice(0, b - a + 1) for a, b in zip(origin, hi[::-1]))]
         plane_shape = shape[-2::-1]  # the axes of one plane of the last coordinate, last coordinate first
         plane_cells = prod(plane_shape)
         whole = 8 // gcd(plane_cells, 8)  # the fewest planes that make whole bytes
         planes = max(whole, 8 * _DIGEST_CHUNK // plane_cells // whole * whole)
-        # the table box inside the digest box: its first plane, and its extent within a plane
-        first = self.box_lo[-1] - lo[-1]
-        inner = tuple(slice(b - a, b - a + n) for a, b, n in zip(lo[-2::-1], self.box_lo[-2::-1], grid.shape[1:]))
-        zeros = memoryview(bytes(planes * plane_cells // 8))  # the bytes of any slab outside the table box
+        # the layer box inside the digest box: its first plane, and its extent within a plane
+        first = origin[0] - lo[-1]
+        inner = tuple(slice(b - a, b - a + n) for a, b, n in zip(lo[-2::-1], origin[1:], grid.shape[1:]))
+        zeros = memoryview(bytes(planes * plane_cells // 8))  # the bytes of any slab outside the layer box
         slab = np.zeros((planes, *plane_shape), dtype=bool)  # one buffer for the slabs inside it
         h = hashlib.sha256()
         h.update(repr((self.dim, lo, hi, size)).encode())
@@ -338,7 +331,7 @@ class SubsetSumTable:
                 h.update(zeros[: (count * plane_cells + 7) // 8])
                 continue
             part = slab[:count]
-            part[: a - start] = part[b - start :] = False  # planes outside the table box that an earlier slab set
+            part[: a - start] = part[b - start :] = False  # planes outside the layer box that an earlier slab set
             part[(slice(a - start, b - start), *inner)] = grid[a - first : b - first]
             h.update(np.packbits(part, bitorder="little").tobytes())
         return h.hexdigest()
@@ -476,11 +469,8 @@ def check_lattice_convex(config: PointConfig) -> ConvexityReport:
         )
     if len(config) == 0:
         raise ValueError("cannot check an empty configuration")
-    # moved to its minimum corner, the set is the size-1 layer of a table over its bounding box
-    corner = tuple(map(min, zip(*config.points)))
-    moved = config.translate(tuple(-c for c in corner))
-    report = SubsetSumTable(moved.points, 1, dim=config.dim).check_convex(1)
-    return ConvexityReport(report.convex, report.missing.translate(corner), report.cardinality)
+    # the set is the size-1 layer of a table over its points, laid out in its bounding box
+    return SubsetSumTable(config.points, 1, dim=config.dim).check_convex(1)
 
 
 def _reflect(config: PointConfig, pivot: Point) -> PointConfig:

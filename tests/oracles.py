@@ -608,8 +608,11 @@ class SubsetSumTable:
         return h.hexdigest()
 
 
-def points_of(table, bits):
-    """The points of a bitset in ``table``'s box, in flat order, split from flat indices per coordinate."""
+def points_of(table, size, bits):
+    """The points of a bitset in the box of ``table``'s layer ``size``, in flat order.
+
+    Flat indices are split per coordinate and moved to the layer's low corner.
+    """
     import numpy as np
 
     nbytes = (table.total_cells + 7) // 8
@@ -619,8 +622,7 @@ def points_of(table, bits):
     out = np.empty((flat.size, table.dim), dtype=np.int64)
     for d in range(table.dim - 1, -1, -1):
         out[:, d], flat = np.divmod(flat, table._strides[d])
-    for d in range(table.dim):
-        out[:, d] += table.box_lo[d]
+    out += np.array(table._origin(size), dtype=np.int64)
     return list(map(tuple, out.tolist()))
 
 

@@ -18,6 +18,7 @@ import oracles
 
 DATA = Path(__file__).parent / "data"
 FIRST_EXCEPTION_JSON = '{"dim": 2, "points": [[0, 1], [1, 0], [-1, -1], [0, 0]]}'
+THIRD_EXCEPTION = [[0, 1], [-1, -1], [0, 0], [1, 0], [2, 0], [3, 0]]
 
 
 @pytest.fixture
@@ -131,6 +132,31 @@ class TestVerificationCommands:
         code, out, _ = run(capsys, "verify-polygon", "--input", DATA / f"{name}.json")
         assert code == 0
         assert out == (DATA / f"verify-polygon-{name}.json").read_text()
+
+    @pytest.mark.parametrize("command", [["verify-polygon"], ["p-good", "-p", "2"]])
+    def test_far_translate_prints_the_near_output_moved(self, capsys, tmp_path, command):
+        # each layer's box starts at its own least sums, so a set moved by (10^12, 10^12) costs
+        # what it does near the origin; points of size p move by p times the shift
+        shift = 10**12
+        near, far = tmp_path / "near.json", tmp_path / "far.json"
+        near.write_text(json.dumps({"dim": 2, "points": THIRD_EXCEPTION}))
+        far.write_text(json.dumps({"dim": 2, "points": [[x + shift for x in p] for p in THIRD_EXCEPTION]}))
+        code, near_out, _ = run(capsys, command[0], "--input", near, *command[1:])
+        assert code == 0
+        code, far_out, _ = run(capsys, command[0], "--input", far, *command[1:])
+        assert code == 0
+
+        def back(point, size):
+            return [x - size * shift for x in point]
+
+        moved = json.loads(far_out)
+        if "witness" in moved:
+            moved["witness"] = back(moved["witness"], moved["p"])
+        else:
+            moved["base"]["points"] = [back(p, 1) for p in moved["base"]["points"]]
+            for entry in moved["per_p"]:
+                entry["missing"] = [back(m, entry["p"]) for m in entry["missing"]]
+        assert moved == json.loads(near_out)
 
     def test_verify_polygon_over_the_table_budget_is_refused_before_allocating(self, capsys, tmp_path):
         # depth 1 over a primitive segment: 2 x (3e9 + 1) cells in 2 + 2 layers, above 2^33 bits

@@ -276,7 +276,7 @@ def test_the_witness_run_peaks_under_8_mb():
 
 def test_the_witness_table_is_the_box_of_its_own_layer(simplex):
     # layer 42 spans, per coordinate, from its 42 smallest values (14) to its 42 largest
-    # (112): 99^3 cells, where a box from the origin sized for every depth has 113^3
+    # (112): 99^3 cells, and a full table lays every layer out in a box of that shape
     table = SubsetSumTable(simplex.points.points, 42, _one_layer=True)
     assert (table.box_lo, table.box_hi, table.total_cells) == ((14, 14, 14), (112, 112, 112), 970_299)
-    assert SubsetSumTable(simplex.points.points, 42).total_cells == 113**3
+    assert SubsetSumTable(simplex.points.points, 42).total_cells == 99**3

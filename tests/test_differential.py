@@ -344,6 +344,7 @@ def _assert_same_table(table, reference):
 
 
 @given(tables())
+@example(([(0, 0, 0), (0, -1, 0)], 1))  # layer 0's box, y in [0, 1], overhangs the digest box's [-1, 0]
 def test_tight_box_gives_the_earlier_tables_answers(case):
     points, depth = case
     dim = len(points[0])
@@ -383,11 +384,11 @@ def test_points_of_lists_what_the_numpy_unpacking_lists(case, data, rng):
         rest = data.draw(st.lists(st.sampled_from(points), unique=True))
         rest_depth = data.draw(st.integers(0, min(depth, len(rest))))
         table = table._derived(rest, [table.layer(0)] + [0] * rest_depth)
-    cells = table.total_cells
-    layer = table.layer(data.draw(st.integers(0, table.depth)))
+    cells, size = table.total_cells, data.draw(st.integers(0, table.depth))
+    layer = table.layer(size)
     spare = rng.getrandbits(-cells % 8) << cells  # the last byte's bits past the box
     for bits in (0, layer, layer & rng.getrandbits(cells), layer | spare):
-        assert table.points_of(bits) == oracles.points_of(table, bits)
+        assert table.points_of(size, bits) == oracles.points_of(table, size, bits)
 
 
 @given(
@@ -408,7 +409,7 @@ def test_coords_list_what_the_numpy_unpacking_lists(points, data):
     for size in sizes:
         coords = table.coords(size)
         assert (coords.dtype.name, coords.shape[1]) == ("int64", table.dim)
-        assert list(map(tuple, coords.tolist())) == oracles.points_of(table, table.layer(size))
+        assert list(map(tuple, coords.tolist())) == oracles.points_of(table, size, table.layer(size))
 
 
 @given(tables(), st.sampled_from([1, 2, 3, 5]))
@@ -494,16 +495,23 @@ def test_one_layer_boxes_fit_their_layer(case):
         assert one.box_hi == tuple(map(max, zip(*expected)))
 
 
-@given(tables(), st.lists(st.integers(-(10**30), 10**30), min_size=3, max_size=3))
-@example(([(0, 0), (1, 0), (0, 1)], 2), [10**30, -(10**30), 0])
-def test_one_layer_boxes_do_not_grow_under_translation(case, vector):
-    # far from the origin, where a full table's box would reach 10^30 cells per coordinate
+@given(
+    tables(),
+    st.lists(st.integers(-(10**30), 10**30), min_size=3, max_size=3),
+    st.sampled_from(["full", "one-layer"]),
+)
+@example(([(0, 0), (1, 0), (0, 1)], 2), [10**30, -(10**30), 0], "one-layer")
+@example(([(0, 0), (1, 0), (0, 1)], 2), [10**30, -(10**30), 0], "full")
+def test_one_layer_boxes_do_not_grow_under_translation(case, vector, kind):
+    # far from the origin, where a box from the origin would reach 10^30 cells per coordinate;
+    # a full table's layer c moves by c times the shift, for every c up to the depth
     points, depth = case
     shift = vector[: len(points[0])]
     moved = [tuple(c + t for c, t in zip(p, shift)) for p in points]
-    one, far = SubsetSumTable(points, depth, _one_layer=True), SubsetSumTable(moved, depth, _one_layer=True)
-    assert far.total_cells == one.total_cells
-    assert far.points_at(depth) == [tuple(c + depth * t for c, t in zip(p, shift)) for p in one.points_at(depth)]
+    near, far = (SubsetSumTable(p, depth, _one_layer=kind == "one-layer") for p in (points, moved))
+    assert far.total_cells == near.total_cells
+    for size in [depth] if kind == "one-layer" else range(depth + 1):
+        assert far.points_at(size) == [tuple(c + size * t for c, t in zip(p, shift)) for p in near.points_at(size)]
 
 
 # --- the normal form and its equivalence maps against the search -------------

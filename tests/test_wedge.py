@@ -273,8 +273,8 @@ class TestSubsetSumTable:
             alone = SubsetSumTable(rest, 2)
             assert (inside.box_lo, inside.box_hi) == (base.box_lo, base.box_hi)
             for size in range(4):
-                assert sorted(inside.points_of(inside.layer(size))) == sorted(
-                    alone.points_of(alone.layer(size))
+                assert sorted(inside.points_of(size, inside.layer(size))) == sorted(
+                    alone.points_of(size, alone.layer(size))
                 )
         assert base.layer(len(pts) + 1) == 0
 
@@ -301,16 +301,16 @@ class TestSubsetSumTable:
             SubsetSumTable(pts, 2)
 
     def test_one_layer_budget_charges_the_layers_it_holds(self, monkeypatch):
-        # the points 0..4 at depth 4: a full table's box is [0, 10], 11 cells; a
-        # one-layer table's is [6, 12], as wide as its widest layers (sums 1..7 of
-        # two points, 3..9 of three), 7 cells; it holds at most 5 - 4 + 2 = 3 layers
-        # at once, a full table all 5, and each shifted OR 2 more
+        # the points 0..4 at depth 4: a table's box is [6, 12], as wide as its widest
+        # layers (sums 1..7 of two points, 3..9 of three), 7 cells; a one-layer table
+        # holds at most 5 - 4 + 2 = 3 layers at once, a full table all 5, and each
+        # shifted OR 2 more
         config = PointConfig.of([(i,) for i in range(5)])
         monkeypatch.setattr(wedge_module, "TABLE_BIT_BUDGET", 35)
         one = SubsetSumTable(config.points, 4, _one_layer=True)
         assert (one.box_lo, one.box_hi, one.total_cells) == ((6,), (12,), 7)
         assert wedge_power(config, 4).points == ((6,), (7,), (8,), (9,), (10,))
-        with pytest.raises(BudgetError, match=r"11 cells x 7 layers \(5 held and 2 in a shifted OR\)"):
+        with pytest.raises(BudgetError, match=r"7 cells x 7 layers \(5 held and 2 in a shifted OR\)"):
             SubsetSumTable(config.points, 4)
         monkeypatch.setattr(wedge_module, "TABLE_BIT_BUDGET", 34)
         with pytest.raises(BudgetError, match=r"7 cells x 5 layers \(3 held and 2 in a shifted OR\)"):
@@ -341,8 +341,8 @@ class TestSubsetSumTable:
         "points, depth, one_layer",
         [
             ([(i * 200_000,) for i in range(40)], 39, True),  # 80,000,001 cells (layer 20 is widest) x (3 + 2) layers
-            # the far point comes last and stretches layers 1..11 to the whole box at once
-            ([(i,) for i in range(10)] + [(2_000_000,)], 11, False),  # 2,000,046 cells x (12 + 2) layers
+            # the far point comes last and stretches layers 1..10 to nearly their whole boxes at once
+            ([(i,) for i in range(10)] + [(2_000_000,)], 11, False),  # 2,000,021 cells x (12 + 2) layers
         ],
     )
     def test_feed_peak_memory_stays_within_the_charge(self, points, depth, one_layer, monkeypatch):
@@ -367,14 +367,17 @@ class TestSubsetSumTable:
     )
     def test_budget_refuses_exactly_the_tables_above_it(self, points, data):
         depth = data.draw(st.integers(0, len(points)))
-        # the tight box, from every sum of at most depth distinct points
-        sums = [
-            tuple(map(sum, zip((0,) * len(points[0]), *subset)))
-            for size in range(depth + 1)
-            for subset in itertools.combinations(points, size)
-        ]
-        lo, hi = tuple(map(min, zip(*sums))), tuple(map(max, zip(*sums)))
-        needed = (depth + 3) * prod(b - a + 1 for a, b in zip(lo, hi))
+        # each layer's own box, from the sums of its size; the table's shape is the widest
+        # layer's per coordinate, and its box starts at layer depth's least sums
+        dim = len(points[0])
+        spans = []
+        for size in range(depth + 1):
+            sums = [tuple(map(sum, zip((0,) * dim, *subset))) for subset in itertools.combinations(points, size)]
+            spans.append([(min(col), max(col)) for col in zip(*sums)])
+        shape = [max(b - a + 1 for a, b in column) for column in zip(*spans)]
+        lo = tuple(a for a, _ in spans[depth])
+        hi = tuple(a + n - 1 for a, n in zip(lo, shape))
+        needed = (depth + 3) * prod(shape)
         budget = data.draw(st.one_of(st.integers(0, 2 * needed), st.sampled_from([needed - 1, needed])))
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(wedge_module, "TABLE_BIT_BUDGET", budget)
@@ -384,7 +387,6 @@ class TestSubsetSumTable:
                 return
             table = SubsetSumTable(points, depth)
         assert (table.box_lo, table.box_hi) == (lo, hi)
-        assert all(a <= 0 <= b for a, b in zip(table.box_lo, table.box_hi))
 
     def test_digest_layout_beyond_the_budget_is_refused(self, monkeypatch):
         # unit vectors at depth 4: a [0, 1]^4 box of 16 cells x (5 + 2) layers, a [0, 4]^4 digest layout
