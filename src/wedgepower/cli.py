@@ -187,7 +187,11 @@ def _cmd_render(args: argparse.Namespace) -> int:
     from .render import render_svg
 
     config = _single_input(args)
-    _write(render_svg(config, show_hull=args.hull), args.output)
+    try:
+        svg = render_svg(config, show_hull=args.hull)
+    except ValueError as exc:  # a drawing the input cannot make is an input error, named by its file
+        raise ValueError(f"{args.input[0]}: {exc}") from exc
+    _write(svg, args.output)
     return 0
 
 

@@ -60,7 +60,11 @@ def parse_point_config(text: str, source: str = "<input>") -> PointConfig:
 
 def read_point_config(path: Union[str, Path]) -> PointConfig:
     path = Path(path)
-    return parse_point_config(path.read_text(), source=str(path))
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputFormatError(f"{path}: not UTF-8: byte {exc.object[exc.start]:#04x} at offset {exc.start}") from exc
+    return parse_point_config(text, source=str(path))
 
 
 def config_to_json(config: PointConfig) -> dict:
@@ -76,10 +80,8 @@ def _fmt(value, indent: str) -> str:
         return json.dumps(value)
     deeper = indent + "  "
     if isinstance(value, list):
-        if not value:
-            return "[]"
         if all(_is_scalar(v) for v in value):
-            return "[" + ", ".join(json.dumps(v) for v in value) + "]"
+            return json.dumps(value)
         body = ",\n".join(deeper + _fmt(v, deeper) for v in value)
         return "[\n" + body + "\n" + indent + "]"
     if isinstance(value, dict):

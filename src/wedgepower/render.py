@@ -4,6 +4,8 @@ One lattice unit maps to a fixed pixel pitch and points are drawn in
 canonical order, so identical inputs produce byte-identical documents.
 """
 
+import sys
+
 from .geometry import DimensionError, PointConfig, _hull_ring
 
 PITCH = 40
@@ -22,6 +24,9 @@ def render_svg(config: PointConfig, show_hull: bool = False) -> str:
     min_y, max_y = min(ys), max(ys)
     width = (max_x - min_x) * PITCH + 2 * MARGIN
     height = (max_y - min_y) * PITCH + 2 * MARGIN
+    digits = sys.get_int_max_str_digits()  # 0 when the interpreter sets no limit
+    if digits and max(width, height) >= 10**digits:
+        raise ValueError(f"the drawing's size has more than {digits} digits, the limit on printing an integer")
 
     def pixel(p: tuple[int, int]) -> tuple[int, int]:
         # SVG y grows downward

@@ -1,5 +1,7 @@
 import json
 import os
+import re
+import resource
 import subprocess
 import sys
 import tracemalloc
@@ -133,11 +135,13 @@ class TestVerificationCommands:
         assert code == 0
         assert out == (DATA / f"verify-polygon-{name}.json").read_text()
 
-    @pytest.mark.parametrize("command", [["verify-polygon"], ["p-good", "-p", "2"]])
-    def test_far_translate_prints_the_near_output_moved(self, capsys, tmp_path, command):
-        # each layer's box starts at its own least sums, so a set moved by (10^12, 10^12) costs
+    @pytest.mark.parametrize("shift", [10**12, 10**30], ids=["12", "30"])  # by its power of ten
+    @pytest.mark.parametrize(
+        "command", [["verify-polygon"], ["p-good", "-p", "2"], ["wedge", "-p", "3"]], ids=["polygon", "p-good", "wedge"]
+    )
+    def test_far_translate_prints_the_near_output_moved(self, capsys, tmp_path, command, shift):
+        # each layer's box starts at its own least sums, so a set moved by (shift, shift) costs
         # what it does near the origin; points of size p move by p times the shift
-        shift = 10**12
         near, far = tmp_path / "near.json", tmp_path / "far.json"
         near.write_text(json.dumps({"dim": 2, "points": THIRD_EXCEPTION}))
         far.write_text(json.dumps({"dim": 2, "points": [[x + shift for x in p] for p in THIRD_EXCEPTION]}))
@@ -152,10 +156,12 @@ class TestVerificationCommands:
         moved = json.loads(far_out)
         if "witness" in moved:
             moved["witness"] = back(moved["witness"], moved["p"])
-        else:
+        elif "base" in moved:
             moved["base"]["points"] = [back(p, 1) for p in moved["base"]["points"]]
             for entry in moved["per_p"]:
                 entry["missing"] = [back(m, entry["p"]) for m in entry["missing"]]
+        else:
+            moved["points"] = [back(p, 3) for p in moved["points"]]
         assert moved == json.loads(near_out)
 
     def test_verify_polygon_over_the_table_budget_is_refused_before_allocating(self, capsys, tmp_path):
@@ -251,6 +257,20 @@ class TestVerificationCommands:
         code, out, err = run(capsys, "cornercut", "-d", "2", "-B", "5")
         assert (code, out) == (1, "")
         assert "bound limit of 4" in err
+
+    @pytest.mark.parametrize("d, bound", [(1, 2), (3, 4), (10, 12), (10, 3)])
+    def test_cornercut_prints_the_pinned_bytes(self, capsys, d, bound):
+        # written when every verdict compared a layer with its hull fill, before hull lattice
+        # points were counted by Pick's theorem
+        code, out, _ = run(capsys, "cornercut", "-d", d, "-B", bound)
+        assert code == 0
+        assert out == (DATA / f"cornercut-d{d}-B{bound}.json").read_text()
+
+    def test_check_convex_prints_the_pinned_missing_corners(self, capsys):
+        # a fill is built only to list what a layer misses, as the 2x2 square's corners do
+        code, out, _ = run(capsys, "check-convex", "--input", DATA / "square-2-corners.json")
+        assert code == 2
+        assert out == (DATA / "check-convex-square-2-corners.json").read_text()
 
     def test_counterexample3d_report(self, capsys):
         code, out, _ = run(capsys, "counterexample3d")
@@ -379,6 +399,21 @@ class TestRenderCommand:
         code, out, _ = run(capsys, "render", "--input", one)
         assert code == 0
         assert out.count("<circle") == 1
+
+    def test_a_size_past_the_digit_limit_is_refused(self, capsys, tmp_path):
+        # 4,299 nines make a drawing 4,301 digits wide, which the interpreter will not print;
+        # 4,299 ones make one of 4,300 digits, which it will
+        limit = sys.get_int_max_str_digits()
+        wide, widest = tmp_path / "wide.json", tmp_path / "widest.json"
+        wide.write_text('{"dim": 2, "points": [[' + "1" * 4299 + ", 0], [0, 0]]}")
+        widest.write_text('{"dim": 2, "points": [[' + "9" * 4299 + ", 0], [0, 0]]}")
+        code, out, _ = run(capsys, "render", "--input", wide)
+        assert code == 0
+        assert f'width="{int("1" * 4299) * 40 + 60}"' in out
+        code, out, err = run(capsys, "render", "--input", widest)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {widest}:") and f"more than {limit} digits" in err
+        assert len(err.encode()) < 200
 
     def test_rejects_3d(self, capsys, tmp_path):
         solid = tmp_path / "solid.json"
@@ -542,6 +577,21 @@ class TestErrorHandling:
         assert (code, out) == (1, "")
         assert "unrecognized arguments: --input" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["wedge", "-p", "2"], ["check-convex"], ["verify-polygon"], ["p-good", "-p", "2"], ["equivalent"], ["render"]],
+        ids=["wedge", "check-convex", "verify-polygon", "p-good", "equivalent", "render"],
+    )
+    def test_an_undecodable_file_names_itself(self, capsys, tmp_path, e1_file, argv):
+        # a UTF-16 byte-order mark is not UTF-8; the codec's own message named no file
+        undecodable = tmp_path / "undecodable.json"
+        undecodable.write_bytes(b"\xff\xfe" + FIRST_EXCEPTION_JSON.encode("utf-16-le"))
+        second = ["--input", e1_file] if argv[0] == "equivalent" else []
+        code, out, err = run(capsys, argv[0], "--input", undecodable, *second, *argv[1:])
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {undecodable}:") and err.count("\n") == 1
+        assert len(err.encode()) < 200
+
     def test_duplicate_point_named(self, capsys, tmp_path):
         dup = tmp_path / "dup.json"
         dup.write_text('{"dim": 2, "points": [[0, 1], [0, 1]]}')
@@ -582,10 +632,10 @@ class TestErrorHandling:
         assert "budget" in err
 
 
-def _run_python(args):
+def _run_python(args, timeout=120, **kwargs):
     """Run a fresh interpreter on this checkout's wedgepower."""
     env = dict(os.environ, PYTHONPATH=str(Path(wedgepower.__file__).resolve().parents[1]))
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=120)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=timeout, **kwargs)
 
 
 PLANAR_RUNS = """
@@ -646,7 +696,78 @@ def test_serial_runs_never_load_multiprocessing():
     assert json.loads(result.stdout) == {"code": 0, "at_import": False, "after_run": False}
 
 
-def test_a_worker_pool_prints_the_pinned_grid_bytes():
-    result = _run_python(["-m", "wedgepower", "verify-grid", "--grid", "4x4", "--jobs", "2"])
-    assert result.returncode == 0, result.stderr
-    assert result.stdout == (DATA / "verify-grid-4x4.json").read_text()
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_worker_pool_prints_the_pinned_grid_bytes(capsys, jobs):
+    # 1,522 orbits, so a pool gets many chunks of them; the expected file was written when
+    # orbits were grouped by normal form and every deletion table was built from its own points
+    code, out, _ = run(capsys, "verify-grid", "--grid", "4x4", "--jobs", jobs)
+    assert code == 0
+    assert out == (DATA / "verify-grid-4x4.json").read_text()
+
+
+BUDGET = r"error: .*(bound|budget)"
+BAD_BOUND = "wedgepower cornercut: argument -B: invalid int value"
+BAD_GRID = "--grid expects WxH"
+HUGE, LONG = "1" + "0" * 4000, "1" + "0" * 5000
+EMOJI = "\U0001F600"
+# the files the hostile runs read, by name
+HOSTILE_FILES = {
+    # a segment 10^4000 long: 2 x (10^4000 + 1) cells
+    "far.json": b'{"dim": 2, "points": [[0, 0], [1' + b"0" * 4000 + b", 1]]}",
+    # a 5,000-digit integer, past the interpreter's limit on integer literals
+    "long.json": b'{"dim": 2, "points": [[' + b"1" * 5000 + b", 0]]}",
+    "wordy.json": b'{"dim": 2, "points": [["' + b"a" * 5000 + b'", 0]]}',
+    "undecodable.json": b"\xff\xfe" + FIRST_EXCEPTION_JSON.encode("utf-16-le"),
+    # a drawing 4,301 digits wide
+    "wide.json": b'{"dim": 2, "points": [[' + b"9" * 4299 + b", 0], [0, 0]]}",
+}
+HOSTILE_RUNS = [
+    pytest.param(["cornercut", "-d", "1", "-B", "1000000"], BUDGET, id="cornercut-bound"),
+    pytest.param(["verify-grid", "--grid", "6x5"], BUDGET, id="grid-6x5"),
+    pytest.param(["check-convex", "--input", "far.json"], BUDGET, id="far-segment"),
+    pytest.param(["check-convex", "--input", "long.json"], "error: long.json: ", id="long-integer"),
+    # a 4,001-digit bound and grid width
+    pytest.param(["cornercut", "-d", "1", "-B", HUGE], BUDGET, id="bound-4001-digits"),
+    pytest.param(["verify-grid", "--grid", HUGE + "x1"], BUDGET, id="grid-4001-digits"),
+    # echoed numbers: a 5,000-digit bound and grid width, past the interpreter's limit on
+    # converting digits, and a 4,001-digit worker count
+    pytest.param(["cornercut", "-d", "1", "-B", LONG], BAD_BOUND, id="bound-5001-digits"),
+    pytest.param(["verify-grid", "--grid", LONG + "x1"], BAD_GRID, id="grid-5001-digits"),
+    pytest.param(
+        ["verify-grid", "--grid", "1x1", "--jobs", HUGE], "error: jobs must be between 1 and the CPU count", id="jobs"
+    ),
+    # long text: 5,000 letters as a grid, a bound, a file name and a coordinate
+    pytest.param(["verify-grid", "--grid", "a" * 5000], BAD_GRID, id="grid-letters"),
+    pytest.param(["cornercut", "-d", "1", "-B", "a" * 5000], BAD_BOUND, id="bound-letters"),
+    pytest.param(["check-convex", "--input", "a" * 5000], "error: .*File name too long", id="path-letters"),
+    pytest.param(
+        ["check-convex", "--input", "wordy.json"],
+        r"error: wordy.json: points\[0\] has non-integer coordinate",
+        id="coordinate-letters",
+    ),
+    # 2,500 one-character words as a grid and a bound: no run is long, but the line is
+    pytest.param(["verify-grid", "--grid", " ".join(["a"] * 2500)], BAD_GRID, id="grid-words"),
+    pytest.param(["cornercut", "-d", "1", "-B", " ".join(["1"] * 2500)], BAD_BOUND, id="bound-words"),
+    # four-byte characters: 128 emoji as one run, and 2,500 of them as words
+    pytest.param(["verify-grid", "--grid", EMOJI * 128], BAD_GRID, id="grid-emoji-run"),
+    pytest.param(["verify-grid", "--grid", " ".join([EMOJI] * 2500)], BAD_GRID, id="grid-emoji-words"),
+    pytest.param(["check-convex", "--input", "undecodable.json"], "error: undecodable.json: ", id="undecodable-file"),
+    pytest.param(["render", "--input", "wide.json"], "error: wide.json: ", id="render-too-wide"),
+]
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1_000_000 * 1024, 1_000_000 * 1024))
+
+
+@pytest.mark.parametrize("argv, pattern", HOSTILE_RUNS)
+def test_hostile_input_exits_1_under_a_memory_and_time_cap(tmp_path, argv, pattern):
+    # each input is refused by a named bound or budget before it allocates, or, for a
+    # malformed file, by an error naming the file: "error: out of memory", a timeout or
+    # any output fails.  The cap is the child's own, set after it forks
+    for name in set(argv) & HOSTILE_FILES.keys():
+        (tmp_path / name).write_bytes(HOSTILE_FILES[name])
+    result = _run_python(["-m", "wedgepower", *argv], timeout=30, cwd=tmp_path, preexec_fn=_cap_address_space)
+    assert (result.returncode, result.stdout) == (1, ""), result.stderr
+    assert re.match(pattern, result.stderr), result.stderr
+    assert result.stderr.count("\n") == 1 and len(result.stderr.encode()) < 200
