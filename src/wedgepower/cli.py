@@ -76,6 +76,14 @@ def _single_input(args: argparse.Namespace) -> PointConfig:
     return read_point_config(args.input[0])
 
 
+def _named(path: str, compute, *args):
+    """``compute(*args)``, with a ValueError it raises prefixed by ``path``: a refused input is named by its file."""
+    try:
+        return compute(*args)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
 def _parse_grid(text: str) -> "GridSpec":
     from .harness import GridSpec
 
@@ -105,7 +113,7 @@ def _cmd_check_convex(args: argparse.Namespace) -> int:
     from .wedge import check_lattice_convex
 
     config = _single_input(args)
-    report = check_lattice_convex(config)
+    report = _named(args.input[0], check_lattice_convex, config)
     _write(dumps(report.to_json()), args.output)
     return 0 if report.convex else 2
 
@@ -114,7 +122,7 @@ def _cmd_verify_polygon(args: argparse.Namespace) -> int:
     from .harness import verify_polygon
 
     config = _single_input(args)
-    report = verify_polygon(config)
+    report = _named(args.input[0], verify_polygon, config)
     _write(dumps(report.to_json()), args.output)
     return 0 if report.verdict == "conforms" else 2
 
@@ -131,7 +139,7 @@ def _cmd_p_good(args: argparse.Namespace) -> int:
     from .harness import is_p_good
 
     config = _single_input(args)
-    witness = is_p_good(config, args.p)
+    witness = _named(args.input[0], is_p_good, config, args.p)
     payload = {
         "p": args.p,
         "p_good": witness is not None,
@@ -167,9 +175,8 @@ def _cmd_counterexample3d(args: argparse.Namespace) -> int:
 def _cmd_equivalent(args: argparse.Namespace) -> int:
     if not args.input or len(args.input) != 2:
         raise UsageError("equivalent needs exactly two --input files")
-    first = read_point_config(args.input[0])
-    second = read_point_config(args.input[1])
-    witness = are_equivalent(first, second)
+    first, second = map(read_point_config, args.input)
+    witness = _named(args.input[first.dim == 2], are_equivalent, first, second)  # names the first non-planar file
     payload = {
         "equivalent": witness is not None,
         "map": None
@@ -187,11 +194,7 @@ def _cmd_render(args: argparse.Namespace) -> int:
     from .render import render_svg
 
     config = _single_input(args)
-    try:
-        svg = render_svg(config, show_hull=args.hull)
-    except ValueError as exc:  # a drawing the input cannot make is an input error, named by its file
-        raise ValueError(f"{args.input[0]}: {exc}") from exc
-    _write(svg, args.output)
+    _write(_named(args.input[0], render_svg, config, args.hull), args.output)
     return 0
 
 

@@ -377,8 +377,8 @@ def exception_index(config: PointConfig) -> Optional[int]:
     Only one k can possibly match a given configuration: the triangle with
     index k has exactly k+3 points.  It has three strict hull corners, a
     count lattice maps keep, so any other set is turned down on its hull
-    ring, which then gives the corner form.  The triangle's edges are
-    primitive and its twice-area is 2k+1, so that form is ((0, 0), (1, 0),
+    ring, whose least frame image is then compared.  The triangle's edges are
+    primitive and its twice-area is 2k+1, so that image is ((0, 0), (1, 0),
     (2, 2k+1)), and by Pick's theorem it holds no lattice points beyond its
     k+3: a set of k+3 points with those corners is all of them.
     """
@@ -390,15 +390,3 @@ def exception_index(config: PointConfig) -> Optional[int]:
         return None
     return k if _least_image(ring, ring) == ((0, 0), (1, 0), (2, 2 * k + 1)) else None
 
-
-def _corner_form(config: PointConfig) -> tuple[Point, ...]:
-    """The normal form of the strict hull corners, computed from the hull ring.
-
-    Equivalent sets have equivalent corners and so equal corner forms.
-    Equal corner forms make the corners equivalent, and lattice-convex sets
-    are the lattice points of the hulls of their corners, so on them equal
-    corner forms mean equivalence.  On other sets they do not (a square's
-    corners with and without its centre), which is why this stays private.
-    """
-    ring = _hull_ring(config.points) or config.points
-    return _least_image(ring, ring)

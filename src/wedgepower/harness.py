@@ -19,7 +19,7 @@ from .geometry import (
     DimensionError,
     Point,
     PointConfig,
-    _corner_form,
+    _frames,
     _lower_chain,
     exception_index,
     vertex_set,
@@ -50,24 +50,30 @@ class GridSpec:
 
 
 def enumerate_lattice_convex(grid: GridSpec) -> list[PointConfig]:
-    """All lattice-convex subsets of the grid, one per translation class.
+    """All lattice-convex subsets of the grid, one per translation class, in the order of ``_classes``."""
+    return [PointConfig(2, points) for points, _ in _classes(grid)]
+
+
+def _classes(grid: GridSpec) -> list[tuple[tuple[Point, ...], list[Point]]]:
+    """Each lattice-convex class of the grid as (sorted points, strict counterclockwise hull ring).
 
     A lattice-convex set is a run of row intervals [l, r], and a row inside
     the run may be empty: the segment (0,0)-(1,2) has no lattice point on
     row 1.  Rows are chosen depth first from y = 0, and the search carries
-    the hull's two boundaries: the lower chain of the row minima (y, l) and
-    the lower chain of the negated row maxima (y, -r).  A candidate row is
-    pushed onto both with ``_lower_chain``, and the prefix is extended only
-    while it is lattice-convex, that is while Pick's count of the chains'
-    ring equals its number of points: the hull of a set contains the hull
-    of each of its prefixes, so a prefix missing a hull point never gets it
-    back.  No bitset is built and no layer is read.  A set is kept when its
-    top row is nonempty and some row starts at x = 0, so each translation
-    class appears once, moved to the origin.  The result is sorted by size
-    and then by point list so runs are reproducible.
+    the hull's two boundaries: the lower chains of the row minima (y, l)
+    and of the negated row maxima (y, -r).  A candidate row is pushed onto
+    both with ``_lower_chain``, and the prefix is extended only while it is
+    lattice-convex, that is while Pick's count of the chains' ring equals
+    its number of points: the hull of a set contains the hull of each of its
+    prefixes, so a prefix missing a hull point never gets it back.  A set
+    is kept when its top row is nonempty and some row starts at x = 0, so
+    each translation class appears once, moved to the origin, with its ring
+    read off the chains: up the right boundary, down the left, less a corner
+    met twice.  Classes are sorted by size and then by points.
     """
     row_width = grid.width + 1
-    found: list[tuple[Point, ...]] = []
+    cells = [[(x, y) for x in range(row_width)] for y in range(grid.height + 1)]  # shared by every class
+    found: list[tuple[tuple[Point, ...], list[Point]]] = []
 
     def extend(y: int, points: list[Point], lows: list[Point], neg_highs: list[Point], at_left: bool) -> None:
         if y > grid.height:
@@ -80,17 +86,21 @@ def enumerate_lattice_convex(grid: GridSpec) -> list[PointConfig]:
                     # a wider top row only grows the hull over the same rows
                     # below, so it misses the same points
                     break
-                grown = points + [(x, y) for x in range(lo, hi + 1)]
+                grown = points + cells[y][lo : hi + 1]
                 left = at_left or lo == 0
                 if left:
-                    found.append(tuple(sorted(grown)))
+                    ring = [cells[row][-x] for row, x in grown_highs]
+                    ring += [cells[row][x] for row, x in reversed(grown_lows)][lo == hi :]  # a one-point top row once
+                    if len(ring) > 1 and ring[-1] == ring[0]:  # and a one-point bottom row
+                        ring.pop()
+                    found.append((tuple(sorted(grown)), ring))
                 extend(y + 1, grown, grown_lows, grown_highs, left)
         if y:
             extend(y + 1, points, lows, neg_highs, at_left)  # an empty row
 
     extend(0, [], [], [], False)
-    found.sort(key=lambda points: (len(points), points))
-    return [PointConfig(2, points) for points in found]
+    found.sort(key=lambda item: (len(item[0]), item[0]))
+    return found
 
 
 def _tables(config: PointConfig, depth: int) -> tuple[SubsetSumTable, list[SubsetSumTable]]:
@@ -279,37 +289,43 @@ def verify_grid(grid: GridSpec, jobs: int = 1) -> GridSummary:
     """Run verify_polygon plus the goodness and decomposition checks over a grid.
 
     Every check is invariant under affine unimodular maps, so one
-    representative per orbit is examined and its outcome counted for every
-    member.  The configurations come from ``enumerate_lattice_convex``, and
-    orbits are grouped by ``_corner_form``, the normal form of the hull
-    corners: every enumerated set is the lattice points of the hull of its
-    corners, so equal corner forms mean equivalence.  Each orbit's
-    representative is its first configuration, and the work can be spread
-    over 1 to os.cpu_count() worker processes; the summary does not depend
-    on their count.
+    representative per orbit, its first class in sorted order, is examined
+    and its outcome counted for every member.  A representative registers
+    its ring's image under each of its frames (``_frames``), and a later
+    class joins the orbit that registered its ring's image under its first
+    frame.  Lattice maps carry frames to frames with their images, and a
+    lattice-convex set is the lattice points of the hull of its corners, so
+    this is exact.  The work can be spread over 1 to os.cpu_count() worker
+    processes; the summary does not depend on their count.
     """
     cpus = os.cpu_count() or 1
     if not 1 <= jobs <= cpus:
         raise ValueError(f"jobs must be between 1 and the CPU count ({cpus}), got {jobs}")
-    configs = enumerate_lattice_convex(grid)
-    forms = [_corner_form(c) for c in configs]
-    representatives: dict[tuple[Point, ...], PointConfig] = {}
-    for form, config in zip(forms, configs):
-        representatives.setdefault(form, config)
+    classes = _classes(grid)
+    representatives: list[PointConfig] = []
+    orbit_of: dict[tuple[Point, ...], int] = {}  # each representative's ring images -> its orbit
+    orbits = []
+    for points, ring in classes:
+        frames = _frames(ring, ring)
+        first = tuple(next(frames)[0])
+        if first not in orbit_of:  # the first class of its orbit
+            for image in [first] + [tuple(other) for other, _, _ in frames]:
+                orbit_of[image] = len(representatives)
+            representatives.append(PointConfig(2, points))
+        orbits.append(orbit_of[first])
     if jobs > 1:
         import multiprocessing  # loaded only for a pool: its import slows every command's start
 
         with multiprocessing.Pool(jobs) as pool:
-            results = pool.map(_examine_config, representatives.values())
+            results = pool.map(_examine_config, representatives)
     else:
-        results = [_examine_config(c) for c in representatives.values()]
-    outcome = dict(zip(representatives, results))
+        results = [_examine_config(c) for c in representatives]
 
-    summary = GridSummary(grid, len(configs))
-    for config, form in zip(configs, forms):  # sorted by size, then by points
-        k, problems = outcome[form]
+    summary = GridSummary(grid, len(classes))
+    for (points, _), orbit in zip(classes, orbits):  # sorted by size, then by points
+        k, problems = results[orbit]
         if k is not None:
             summary.exceptions_seen[k] = summary.exceptions_seen.get(k, 0) + 1
         for kind, p in problems:
-            summary.violations.append(Violation(kind, config, p))
+            summary.violations.append(Violation(kind, PointConfig(2, points), p))
     return summary

@@ -22,6 +22,9 @@ over all 2^cells masks (``enumerate_by_masks``), for the row-interval one.
 The row-interval search as it was before it carried the hull's chains,
 one ``hull_count`` of a prefix bitset per candidate row
 (``enumerate_by_prefix_counts``), is the reference for the chains.
+The normal form of a set's strict hull corners (``corner_form``), by which
+grid runs once grouped their orbits, is the reference for the grouping by
+registered frame images.
 The numpy unpacking that ``SubsetSumTable.points_of`` and ``coords`` once
 ran, flat indices split by ``divmod`` per coordinate (``points_of``), is
 the reference for the byte walk and for ``coords``.
@@ -60,7 +63,7 @@ from wedgepower import (
     wedge_power,
 )
 from wedgepower import harness
-from wedgepower.geometry import Point, _xgcd, normal_form
+from wedgepower.geometry import Point, _least_image, _xgcd, normal_form
 from wedgepower.harness import GridSpec, TheoremReport
 from wedgepower.wedge import SubsetSumTable as BitsetTable
 from wedgepower.wedge import hull_count, hull_fill
@@ -320,6 +323,19 @@ def _hull_ring(pts):
                 chain.pop()
             chain.append(p)
     return lower[:-1] + upper[:-1]
+
+
+def corner_form(config):
+    """The normal form of the strict hull corners, computed from the hull ring.
+
+    Equivalent sets have equivalent corners and so equal corner forms.
+    Equal corner forms make the corners equivalent, and lattice-convex sets
+    are the lattice points of the hulls of their corners, so on them equal
+    corner forms mean equivalence.  On other sets they do not (a square's
+    corners with and without its centre).
+    """
+    ring = _hull_ring(config.points) or config.points
+    return _least_image(ring, ring)
 
 
 def _row_ranges(ring):

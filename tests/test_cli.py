@@ -123,7 +123,7 @@ class TestVerificationCommands:
         code, out, err = run(capsys, "verify-polygon", "--input", hexagon)
         assert (code, out) == (1, "")
         assert err == (
-            "error: the configuration is not lattice-convex: "
+            f"error: {hexagon}: the configuration is not lattice-convex: "
             "its hull also holds (0, 1), (0, 2), (1, 0), (1, 2), (2, 1), (2, 2)\n"
         )
 
@@ -223,15 +223,22 @@ class TestVerificationCommands:
         assert code == 0
         assert json.loads(out)["witness"] == [3, 0]
 
-    def test_p_good_refuses_3d(self, capsys, tmp_path):
-        # p-goodness is a planar proof step: a 3D input is an input error, not a verdict
-        solid = tmp_path / "simplex.json"
-        solid.write_text('{"dim": 3, "points": [[0, 0, 0], [3, 0, 0], [0, 3, 0], [0, 0, 3], [1, 1, 1]]}')
-        code, out, err = run(capsys, "p-good", "--input", solid, "-p", "2")
+    @pytest.mark.parametrize(
+        "command",
+        [["p-good", "-p", "2"], ["check-convex"], ["verify-polygon"], ["equivalent", "--input", "square.json"]],
+        ids=["p-good", "check-convex", "verify-polygon", "equivalent"],
+    )
+    def test_p_good_refuses_3d(self, capsys, tmp_path, monkeypatch, command):
+        # planar proof steps: a 3D input is an input error, not a verdict, and the
+        # error names its file (for equivalent the second, after a planar first)
+        monkeypatch.chdir(tmp_path)
+        Path("simplex.json").write_text('{"dim": 3, "points": [[0, 0, 0], [3, 0, 0], [0, 3, 0], [0, 0, 3], [1, 1, 1]]}')
+        Path("square.json").write_text('{"dim": 2, "points": [[0, 0], [1, 0], [0, 1], [1, 1]]}')
+        code, out, err = run(capsys, *command, "--input", "simplex.json")
         assert (code, out) == (1, "")
-        assert err.startswith("error:")
-        assert "dimension 3" in err
-        assert "Traceback" not in err
+        assert err.startswith("error: simplex.json: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert len(err.encode()) < 200
 
     def test_cornercut_cell(self, capsys):
         code, out, _ = run(capsys, "cornercut", "-d", "2", "-B", "2")

@@ -822,15 +822,31 @@ def test_stem_tables_match_independent_builds_in_dimensions_1_and_3(config):
 # --- grouping by corner form against grouping by normal form --------------------
 
 
+@pytest.mark.parametrize("grid", [GridSpec(w, h) for w in range(5) for h in range(5)], ids=lambda g: f"{g.width}x{g.height}")
+def test_rings_read_off_the_chains_are_the_hull_rings(grid):
+    # the same corners in the same counterclockwise order, from any starting corner
+    for points, ring in harness._classes(grid):
+        expected = geometry._hull_ring(points) or list(points)
+        assert expected in [ring[i:] + ring[:i] for i in range(len(ring))], points
+
+
 @pytest.mark.parametrize("grid", GRIDS + (GridSpec(3, 3), GridSpec(4, 4)), ids=lambda g: f"{g.width}x{g.height}")
-def test_corner_forms_make_the_normal_form_orbits(grid):
+def test_corner_forms_make_the_normal_form_orbits(grid, monkeypatch):
     configs = enumerate_lattice_convex(grid)
     by_corners, by_normal_form = {}, {}
     for config in configs:
-        by_corners.setdefault(geometry._corner_form(config), []).append(config)
+        by_corners.setdefault(oracles.corner_form(config), []).append(config)
         by_normal_form.setdefault(normal_form(config), []).append(config)
     # the same orbits, met in the same order, so the same representatives
-    assert list(by_corners.values()) == list(by_normal_form.values())
+    orbits = list(by_normal_form.values())
+    assert list(by_corners.values()) == orbits
+    # verify_grid's grouping: each representative flags itself, and every class
+    # is listed with the flag of the representative it was grouped with
+    monkeypatch.setattr(harness, "_examine_config", lambda config: (None, [("orbit", config)]))
+    grouped = {}
+    for violation in verify_grid(grid).violations:
+        grouped.setdefault(violation.subset_size, []).append(violation.config)
+    assert grouped == {orbit[0]: orbit for orbit in orbits}
 
 
 @given(lattice_convex_sets(), lattice_convex_sets(), st.integers(0, 2**32))
@@ -839,5 +855,5 @@ def test_corner_forms_make_the_normal_form_orbits(grid):
 def test_equal_corner_forms_exactly_when_equivalent(first, second, seed):
     moved = apply_map(oracles.random_unimodular(random.Random(seed)), first)
     for other in (moved, second):
-        same = geometry._corner_form(first) == geometry._corner_form(other)
+        same = oracles.corner_form(first) == oracles.corner_form(other)
         assert same == (oracles.equivalence_by_search(first, other) is not None), (first, other)

@@ -23,7 +23,7 @@ from wedgepower import (
     vertex_set,
 )
 from wedgepower import geometry
-from wedgepower.geometry import _corner_form, _hull_ring
+from wedgepower.geometry import _hull_ring
 from wedgepower.render import render_svg
 
 import oracles
@@ -305,7 +305,7 @@ class TestExceptionIndex:
         # edges round twice-area 2k + 1, so by Pick's theorem exactly k + 3 lattice points
         for k in range(1, 201):
             form = ((0, 0), (1, 0), (2, 2 * k + 1))
-            assert _corner_form(exceptional_triangle(k)) == form, k
+            assert oracles.corner_form(exceptional_triangle(k)) == form, k
             assert len(oracles.hull_lattice_points(form)) == k + 3, k
 
     def test_detected_through_random_maps(self):
@@ -369,39 +369,39 @@ class TestNormalForm:
 
 
 class TestCornerForm:
-    """The private grouping key of grid runs: the normal form of the hull corners, read off the hull ring."""
+    """The reference key for grid orbits (``oracles.corner_form``): the normal form of the hull corners."""
 
     def test_singleton_empty_and_collinear(self):
-        assert _corner_form(PointConfig.of([(5, -7)])) == ((0, 0),)
-        assert _corner_form(PointConfig.of([], dim=2)) == ()
+        assert oracles.corner_form(PointConfig.of([(5, -7)])) == ((0, 0),)
+        assert oracles.corner_form(PointConfig.of([], dim=2)) == ()
         # four lattice points along (1, 2): the two ends, 3 steps apart
-        assert _corner_form(PointConfig.of([(x, 2 * x) for x in range(4)])) == ((0, 0), (3, 0))
+        assert oracles.corner_form(PointConfig.of([(x, 2 * x) for x in range(4)])) == ((0, 0), (3, 0))
 
     def test_is_the_normal_form_of_the_corners(self):
         for config in (PointConfig.of(FIRST_EXCEPTION), grid_config(3), truncated_quadrant(4)):
-            assert _corner_form(config) == normal_form(vertex_set(config))
+            assert oracles.corner_form(config) == normal_form(vertex_set(config))
 
     def test_reads_only_the_least_keyed_corners(self):
         # the triangle (0, 0), (1, 0), (0, 2): of its edges only the one on the y-axis
         # has lattice length 2, so the corner (1, 0) between the two primitive edges has
         # the least key, and the corner form and the normal form both read its frames
         config = PointConfig.of([(0, 0), (0, 1), (0, 2), (1, 0)])
-        assert _corner_form(config) == normal_form(vertex_set(config)) == ((0, 0), (1, 0), (1, 2))
+        assert oracles.corner_form(config) == normal_form(vertex_set(config)) == ((0, 0), (1, 0), (1, 2))
         for other in ([(0, 0), (0, 1), (0, 2), (1, 1)], [(0, 0), (1, 1), (2, 2), (1, 0)]):
-            assert _corner_form(PointConfig.of(other)) == _corner_form(config)
+            assert oracles.corner_form(PointConfig.of(other)) == oracles.corner_form(config)
 
     @given(st.one_of(planar_points, collinear_points))
     @example([(5, -7)])
     def test_is_the_normal_form_of_the_vertex_set(self, raw):
         config = PointConfig.of(raw)
-        assert _corner_form(config) == normal_form(vertex_set(config))
+        assert oracles.corner_form(config) == normal_form(vertex_set(config))
 
     def test_needs_lattice_convex_sets(self):
         # the corners of a 2x2 square, with and without its centre: equal corner
-        # forms, yet inequivalent sets, which is why the form stays private
+        # forms, yet inequivalent sets, so the key groups lattice-convex sets only
         corners = PointConfig.of([(0, 0), (2, 0), (0, 2), (2, 2)])
         centred = PointConfig.of([*corners, (1, 1)])
-        assert _corner_form(corners) == _corner_form(centred)
+        assert oracles.corner_form(corners) == oracles.corner_form(centred)
         assert normal_form(corners) != normal_form(centred)
 
 
