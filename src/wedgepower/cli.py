@@ -5,6 +5,13 @@ exit codes: 0 when the computation succeeds and any checked claim holds,
 2 when a claim is refuted (non-convexity found, no equivalence, not
 p-good, a violated grid run), and 1 for usage, input or budget errors.
 
+One pipeline in ``main`` runs every subcommand: it checks the number of
+``--input`` files the subcommand declares, reads them, runs the
+subcommand on them, writes its JSON, or SVG for ``render``, to stdout or
+to ``--output``, and exits 0 or 2 on whether the claim holds.  A
+ValueError from the run names the first input that is not planar, or
+else the first input; an unreadable file is named by the reader.
+
 Only the geometry and JSON modules load with the command line; each
 subcommand imports the module it runs when it starts, so a planar check
 never loads the 3D witness, the corner cut or the renderer.
@@ -62,28 +69,6 @@ def _size(text: str) -> int:
     return len(text.encode("utf-8", "backslashreplace"))
 
 
-def _write(text: str, path: Optional[str]) -> None:
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w") as handle:
-            handle.write(text)
-
-
-def _single_input(args: argparse.Namespace) -> PointConfig:
-    if not args.input or len(args.input) != 1:
-        raise UsageError("exactly one --input file is required")
-    return read_point_config(args.input[0])
-
-
-def _named(path: str, compute, *args):
-    """``compute(*args)``, with a ValueError it raises prefixed by ``path``: a refused input is named by its file."""
-    try:
-        return compute(*args)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
-
-
 def _parse_grid(text: str) -> "GridSpec":
     from .harness import GridSpec
 
@@ -94,118 +79,84 @@ def _parse_grid(text: str) -> "GridSpec":
     return GridSpec(w, h)
 
 
-def _cmd_wedge(args: argparse.Namespace) -> int:
+def _cmd_wedge(args: argparse.Namespace, config: PointConfig) -> tuple[dict, bool]:
     from .wedge import wedge_power
 
-    config = _single_input(args)
     in_range = 0 <= args.p <= len(config)
     if not in_range:
         note = f"note: no subsets of size {args.p} in a {len(config)}-point set; emitting the empty set"
         print(_abridged_runs(note), file=sys.stderr)
-    result = wedge_power(config, args.p)
-    payload = config_to_json(result)
-    payload["in_range"] = in_range  # extra key, ignored when read back as a configuration
-    _write(dumps(payload), args.output)
-    return 0
+    # in_range is an extra key, ignored when read back as a configuration
+    return {**config_to_json(wedge_power(config, args.p)), "in_range": in_range}, True
 
 
-def _cmd_check_convex(args: argparse.Namespace) -> int:
+def _cmd_check_convex(args: argparse.Namespace, config: PointConfig) -> tuple[dict, bool]:
     from .wedge import check_lattice_convex
 
-    config = _single_input(args)
-    report = _named(args.input[0], check_lattice_convex, config)
-    _write(dumps(report.to_json()), args.output)
-    return 0 if report.convex else 2
+    report = check_lattice_convex(config)
+    return report.to_json(), report.convex
 
 
-def _cmd_verify_polygon(args: argparse.Namespace) -> int:
+def _cmd_verify_polygon(args: argparse.Namespace, config: PointConfig) -> tuple[dict, bool]:
     from .harness import verify_polygon
 
-    config = _single_input(args)
-    report = _named(args.input[0], verify_polygon, config)
-    _write(dumps(report.to_json()), args.output)
-    return 0 if report.verdict == "conforms" else 2
+    report = verify_polygon(config)
+    return report.to_json(), report.verdict == "conforms"
 
 
-def _cmd_verify_grid(args: argparse.Namespace) -> int:
+def _cmd_verify_grid(args: argparse.Namespace) -> tuple[dict, bool]:
     from .harness import verify_grid
 
     summary = verify_grid(_parse_grid(args.grid), jobs=args.jobs)
-    _write(dumps(summary.to_json()), args.output)
-    return 0 if not summary.violations else 2
+    return summary.to_json(), not summary.violations
 
 
-def _cmd_p_good(args: argparse.Namespace) -> int:
+def _cmd_p_good(args: argparse.Namespace, config: PointConfig) -> tuple[dict, bool]:
     from .harness import is_p_good
 
-    config = _single_input(args)
-    witness = _named(args.input[0], is_p_good, config, args.p)
-    payload = {
-        "p": args.p,
-        "p_good": witness is not None,
-        "witness": list(witness) if witness is not None else None,
-    }
-    _write(dumps(payload), args.output)
-    return 0 if witness is not None else 2
+    witness = is_p_good(config, args.p)
+    found = witness is not None
+    return {"p": args.p, "p_good": found, "witness": list(witness) if found else None}, found
 
 
-def _cmd_cornercut(args: argparse.Namespace) -> int:
+def _cmd_cornercut(args: argparse.Namespace) -> tuple[dict, bool]:
     from .cornercut import verify_corner_cut
 
     report = verify_corner_cut(args.d, args.B)
-    payload = {
-        "d": args.d,
-        "B": args.B,
-        "wedge_size": report.cardinality,
-        "convex": report.convex,
-        "missing": [list(p) for p in report.missing],
-    }
-    _write(dumps(payload), args.output)
-    return 0 if report.convex else 2
+    missing = [list(p) for p in report.missing]
+    payload = {"d": args.d, "B": args.B, "wedge_size": report.cardinality, "convex": report.convex, "missing": missing}
+    return payload, report.convex
 
 
-def _cmd_counterexample3d(args: argparse.Namespace) -> int:
+def _cmd_counterexample3d(args: argparse.Namespace) -> tuple[dict, bool]:
     from .counterexample3d import verify_counterexample
 
     report = verify_counterexample()
-    _write(dumps(report.to_json()), args.output)
-    return 0 if report.holds else 2
+    return report.to_json(), report.holds
 
 
-def _cmd_equivalent(args: argparse.Namespace) -> int:
-    if not args.input or len(args.input) != 2:
-        raise UsageError("equivalent needs exactly two --input files")
-    first, second = map(read_point_config, args.input)
-    witness = _named(args.input[first.dim == 2], are_equivalent, first, second)  # names the first non-planar file
-    payload = {
-        "equivalent": witness is not None,
-        "map": None
-        if witness is None
-        else {
-            "matrix": [list(row) for row in witness.matrix],
-            "translation": list(witness.translation),
-        },
-    }
-    _write(dumps(payload), args.output)
-    return 0 if witness is not None else 2
+def _cmd_equivalent(args: argparse.Namespace, first: PointConfig, second: PointConfig) -> tuple[dict, bool]:
+    witness = are_equivalent(first, second)
+    if witness is None:
+        return {"equivalent": False, "map": None}, False
+    matrix = [list(row) for row in witness.matrix]
+    return {"equivalent": True, "map": {"matrix": matrix, "translation": list(witness.translation)}}, True
 
 
-def _cmd_render(args: argparse.Namespace) -> int:
+def _cmd_render(args: argparse.Namespace, config: PointConfig) -> tuple[str, bool]:
     from .render import render_svg
 
-    config = _single_input(args)
-    _write(_named(args.input[0], render_svg, config, args.hull), args.output)
-    return 0
+    return render_svg(config, args.hull), True
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="wedgepower", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, func, reads_input: bool = True, **kwargs):
+    def add(name: str, func, inputs: int = 1, **kwargs):
         p = sub.add_parser(name, **kwargs)
-        p.set_defaults(func=func)
-        if reads_input:
+        p.set_defaults(func=func, inputs=inputs, input=None)
+        if inputs:
             p.add_argument("--input", action="append", metavar="PATH", help="point configuration JSON")
         p.add_argument("--output", metavar="PATH", help="write result here instead of stdout")
         return p
@@ -217,20 +168,21 @@ def build_parser() -> _Parser:
 
     add("verify-polygon", _cmd_verify_polygon, help="convexity of every wedge power of one configuration")
 
-    p = add("verify-grid", _cmd_verify_grid, reads_input=False, help="exhaustive check over a small grid")
+    p = add("verify-grid", _cmd_verify_grid, inputs=0, help="exhaustive check over a small grid")
     p.add_argument("--grid", required=True, metavar="WxH")
     p.add_argument("--jobs", type=int, default=1)
 
     p = add("p-good", _cmd_p_good, help="common wedge point of all one-vertex deletions")
     p.add_argument("-p", type=int, required=True, help="subset size")
 
-    p = add("cornercut", _cmd_cornercut, reads_input=False, help="corner-cut convexity at one truncation")
+    p = add("cornercut", _cmd_cornercut, inputs=0, help="corner-cut convexity at one truncation")
     p.add_argument("-d", type=int, required=True, help="subset size")
     p.add_argument("-B", type=int, required=True, help="truncation bound")
 
-    add("counterexample3d", _cmd_counterexample3d, reads_input=False, help="the three-dimensional witness run")
+    add("counterexample3d", _cmd_counterexample3d, inputs=0, help="the three-dimensional witness run")
 
-    add("equivalent", _cmd_equivalent, help="a unimodular map between two configurations, read off their normal forms")
+    add("equivalent", _cmd_equivalent, inputs=2,
+        help="a unimodular map between two configurations, read off their normal forms")
 
     p = add("render", _cmd_render, help="SVG dot diagram of a planar configuration")
     p.add_argument("--hull", action="store_true", help="draw the convex hull outline")
@@ -242,7 +194,25 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        paths = args.input or []
+        if len(paths) != args.inputs:
+            two = "equivalent needs exactly two --input files"
+            raise UsageError(two if args.inputs == 2 else "exactly one --input file is required")
+        configs = [read_point_config(path) for path in paths]
+        try:
+            payload, holds = args.func(args, *configs)
+        except ValueError as exc:  # a refused input is named: the first that is not planar, or else the first
+            named = [path for path, config in zip(paths, configs) if config.dim != 2] + paths
+            if not named:
+                raise
+            raise ValueError(f"{named[0]}: {exc}") from exc
+        text = payload if isinstance(payload, str) else dumps(payload)
+        if args.output is None:
+            sys.stdout.write(text)
+        else:
+            with open(args.output, "w") as handle:
+                handle.write(text)
+        return 0 if holds else 2
     except UsageError as exc:
         print(_abridged_runs(str(exc)), file=sys.stderr)
         return 1

@@ -330,8 +330,10 @@ def are_equivalent(source: PointConfig, target: PointConfig) -> Optional[AffineU
     """
     if source.dim != 2 or target.dim != 2:
         raise DimensionError("equivalence is decided for planar configurations")
-    if len(source) != len(target) or len(source) == 0:
+    if len(source) != len(target):
         return None
+    if len(source) == 0:  # both normal forms are (), and any map carries one empty set onto the other
+        return AffineUnimodularMap.identity(2)
     sources, targets = (_frames(_hull_ring(c.points) or c.points, c.points) for c in (source, target))
     image, *frame = next(sources)
     first = AffineUnimodularMap(*frame)

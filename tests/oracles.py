@@ -442,8 +442,10 @@ def equivalence_by_search(source, target):
     """
     if source.dim != 2 or target.dim != 2:
         raise DimensionError("equivalence search is for planar configurations")
-    if len(source) != len(target) or len(source) == 0:
+    if len(source) != len(target):
         return None
+    if len(source) == 0:
+        return AffineUnimodularMap.identity(2)
     if len(vertex_set(source)) != len(vertex_set(target)):
         return None
 

@@ -36,6 +36,26 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+# one small run of each subcommand; "e1" stands for the first exceptional triangle's file
+ONE_INPUT_RUNS = [["wedge", "-p", "2"], ["check-convex"], ["verify-polygon"], ["p-good", "-p", "2"], ["render", "--hull"]]
+EVERY_COMMAND_RUNS = [
+    *([*argv, "--input", "e1"] for argv in ONE_INPUT_RUNS),
+    ["verify-grid", "--grid", "1x1"],
+    ["cornercut", "-d", "1", "-B", "2"],
+    ["counterexample3d"],
+    ["equivalent", "--input", "e1", "--input", "e1"],
+]
+
+
+@pytest.mark.parametrize("argv", EVERY_COMMAND_RUNS, ids=lambda argv: argv[0])
+def test_output_writes_what_stdout_would(capsys, tmp_path, e1_file, argv):
+    argv = [e1_file if arg == "e1" else arg for arg in argv]
+    code, out, _ = run(capsys, *argv)
+    written = tmp_path / "written"
+    assert run(capsys, *argv, "--output", written)[:2] == (code, "")
+    assert written.read_bytes() == out.encode()
+
+
 class TestWedgeCommand:
     def test_pair_sums_and_convexity_pipeline(self, capsys, tmp_path, e1_file):
         out_path = tmp_path / "w2.json"
@@ -361,6 +381,14 @@ class TestEquivalentCommand:
         assert code == 1
         assert "two" in err
 
+    def test_two_empty_sets_are_equivalent(self, capsys, tmp_path):
+        # both normal forms are (), so the identity is the map
+        empty = tmp_path / "empty.json"
+        empty.write_text('{"dim": 2, "points": []}')
+        code, out, _ = run(capsys, "equivalent", "--input", empty, "--input", empty)
+        assert code == 0
+        assert json.loads(out) == {"equivalent": True, "map": {"matrix": [[1, 0], [0, 1]], "translation": [0, 0]}}
+
 
 class TestRenderCommand:
     def test_byte_identical_runs(self, capsys, e1_file):
@@ -598,6 +626,19 @@ class TestErrorHandling:
         assert (code, out) == (1, "")
         assert err.startswith(f"error: {undecodable}:") and err.count("\n") == 1
         assert len(err.encode()) < 200
+
+    @pytest.mark.parametrize("count", [0, 2])
+    @pytest.mark.parametrize("argv", ONE_INPUT_RUNS, ids=lambda argv: argv[0])
+    def test_a_one_input_command_refuses_none_or_two(self, capsys, e1_file, argv, count):
+        code, out, err = run(capsys, *argv, *["--input", e1_file] * count)
+        assert (code, out) == (1, "")
+        assert err == "exactly one --input file is required\n"
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_equivalent_refuses_one_or_three_inputs(self, capsys, e1_file, count):
+        code, out, err = run(capsys, "equivalent", *["--input", e1_file] * count)
+        assert (code, out) == (1, "")
+        assert err == "equivalent needs exactly two --input files\n"
 
     def test_duplicate_point_named(self, capsys, tmp_path):
         dup = tmp_path / "dup.json"

@@ -631,7 +631,10 @@ def test_equivalence_maps_match_the_search_on_lines_and_points():
     ]
     for source, target in itertools.product(lines, repeat=2):
         _assert_same_map(source, target)
-    points = [PointConfig.of([p]) for p in ((0, 0), (3, -4), (-7, 2))]
+    # two empty sets share the normal form (), so the identity carries one onto the other
+    empty = PointConfig.of([], dim=2)
+    assert are_equivalent(empty, empty) == AffineUnimodularMap.identity(2)
+    points = [empty] + [PointConfig.of([p]) for p in ((0, 0), (3, -4), (-7, 2))]
     for source, target in itertools.product(points, repeat=2):
         _assert_same_map(source, target)
 
