@@ -27,8 +27,6 @@ _HOMES = {
     "counterexample3d": (
         "ColoredSimplex",
         "build_colored_simplex",
-        "plane_coordinates",
-        "quadrant_points_below",
         "verify_counterexample",
         "witness_point",
     ),
@@ -43,16 +41,12 @@ _HOMES = {
         "are_equivalent",
         "exception_index",
         "exceptional_triangle",
-        "normal_form",
-        "remove_vertex",
         "vertex_set",
     ),
     "harness": (
         "GridSpec",
         "TheoremReport",
-        "enumerate_lattice_convex",
         "is_p_good",
-        "union_decomposition_holds",
         "verify_grid",
         "verify_polygon",
     ),

@@ -9,8 +9,9 @@ One pipeline in ``main`` runs every subcommand: it checks the number of
 ``--input`` files the subcommand declares, reads them, runs the
 subcommand on them, writes its JSON, or SVG for ``render``, to stdout or
 to ``--output``, and exits 0 or 2 on whether the claim holds.  A
-ValueError from the run names the first input that is not planar, or
-else the first input; an unreadable file is named by the reader.
+ValueError or BudgetError from the run names the first input that is not
+planar, or else the first input; an unreadable file is named by the
+reader.
 
 Only the geometry and JSON modules load with the command line; each
 subcommand imports the module it runs when it starts, so a planar check
@@ -201,7 +202,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         configs = [read_point_config(path) for path in paths]
         try:
             payload, holds = args.func(args, *configs)
-        except ValueError as exc:  # a refused input is named: the first that is not planar, or else the first
+        except (BudgetError, ValueError) as exc:  # named: the first input that is not planar, or else the first
             named = [path for path, config in zip(paths, configs) if config.dim != 2] + paths
             if not named:
                 raise

@@ -9,13 +9,12 @@ lies in the hull of the wedge but not in the wedge itself.  The wedge's
 lowest slice under the form is certified from sorted levels (``_lowest_slice``).
 """
 
-import itertools
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .geometry import LinearFunctional, Point, PointConfig, _xgcd
+from .geometry import LinearFunctional, Point, PointConfig
 from .wedge import SubsetSumTable, wedge_power
 
 SIMPLEX_SCALE = 6
@@ -207,69 +206,3 @@ def _lowest_slice(points: Sequence[Point], depth: int, coeffs: Sequence[int]) ->
     base = PointConfig.of((p for _, p in ordered[:below]), dim=len(coeffs)).total()
     at_cut = PointConfig.of((p for _, p in ordered[below:above]), dim=len(coeffs))
     return sum(levels[:depth]), wedge_power(at_cut, depth - below).translate(base).points
-
-
-def quadrant_points_below(functional: LinearFunctional, cap: int) -> PointConfig:
-    """All points of the nonnegative octant with functional value at most ``cap``.
-
-    Strictly positive coefficients keep the answer finite.
-    """
-    coeffs = functional.coeffs
-    if len(coeffs) != 3:
-        raise ValueError("expected a functional on three coordinates")
-    if any(c <= 0 for c in coeffs):
-        raise ValueError("all coefficients must be strictly positive")
-    if cap < 0:
-        return PointConfig.of([], dim=3)
-    a, b, c = coeffs
-    points = [
-        (x, y, z)
-        for x in range(cap // a + 1)
-        for y in range((cap - a * x) // b + 1)
-        for z in range((cap - a * x - b * y) // c + 1)
-    ]
-    return PointConfig.of(points, dim=3)
-
-
-def plane_coordinates(config: PointConfig) -> PointConfig:
-    """Two-dimensional lattice coordinates of a coplanar 3D configuration.
-
-    The points must span a genuine plane.  Its primitive normal and the two
-    rows of ``_plane_chart`` form a unimodular matrix, and each point p goes
-    to those two rows applied to p - p0, so the resulting planar
-    configuration is unimodularly faithful: lattice points of the plane
-    correspond exactly to integer pairs.
-    """
-    pts = config.points
-    if config.dim != 3 or len(pts) < 3:
-        raise ValueError("need at least three points in ambient dimension 3")
-    base = pts[0]
-    normals = (_plane_normal(base, b, c) for b, c in itertools.combinations(pts[1:], 2))
-    normal = next((n for n in normals if n is not None), None)
-    if normal is None:
-        raise ValueError("points are collinear, not a plane")
-    level = sum(n * c for n, c in zip(normal, base))
-    if any(sum(n * c for n, c in zip(normal, p)) != level for p in pts):
-        raise ValueError("points are not coplanar")
-
-    rows = _plane_chart(normal)
-    coords = [
-        tuple(sum(r * (y - x) for r, x, y in zip(row, base, p)) for row in rows) for p in pts
-    ]
-    return PointConfig.of(coords, dim=2)
-
-
-def _plane_chart(normal: Sequence[int]) -> tuple[Point, Point]:
-    """Two rows that complete a primitive normal (a, b, c) to a unimodular matrix.
-
-    With g = gcd(a, b) = a*x + b*y and g*s + c*t = 1, the rows (-y, x, 0)
-    and (-t*a/g, -t*b/g, s) together with the normal have determinant
-    s*g + c*t = 1.  The normal (0, 0, +-1), where g = 0, takes the x and y
-    rows instead.
-    """
-    a, b, c = normal
-    g, x, y = _xgcd(a, b)
-    if g == 0:
-        return (1, 0, 0), (0, 1, 0)
-    _, s, t = _xgcd(g, c)
-    return (-y, x, 0), (-t * a // g, -t * b // g, s)

@@ -230,18 +230,6 @@ def vertex_set(config: PointConfig) -> PointConfig:
     return PointConfig.of(_hull_ring(config.points) or config.points, dim=2)
 
 
-def remove_vertex(config: PointConfig, vertex: Sequence[int]) -> PointConfig:
-    """Drop one extremal point; rejects interior or absent points.
-
-    Because the removed point is extremal, the remaining points are exactly
-    the lattice points of their own hull whenever the input was.
-    """
-    v = _as_point(vertex)
-    if v not in vertex_set(config):
-        raise ValueError(f"{v} is not a vertex of the configuration")
-    return PointConfig(config.dim, tuple(p for p in config.points if p != v))
-
-
 def apply_map(transform: AffineUnimodularMap, config: PointConfig) -> PointConfig:
     if transform.dim != config.dim:
         raise DimensionError("map and configuration dimensions differ")
@@ -339,20 +327,6 @@ def are_equivalent(source: PointConfig, target: PointConfig) -> Optional[AffineU
     first = AffineUnimodularMap(*frame)
     maps = [AffineUnimodularMap(*other).inverse().compose(first) for found, *other in targets if found == image]
     return min(maps, key=lambda m: list(map(m.apply, source.points)), default=None)
-
-
-def normal_form(config: PointConfig) -> tuple[Point, ...]:
-    """A canonical member of the affine unimodular class of a planar configuration.
-
-    Two configurations are equivalent exactly when their normal forms are
-    equal: the normal form is the least sorted image over the frames of
-    ``_frames``, those at the least-keyed hull corners, so a collinear set
-    becomes the lesser of its two gap patterns along the x-axis, and a
-    single point the origin.
-    """
-    if config.dim != 2:
-        raise DimensionError("normal forms are for planar configurations")
-    return _least_image(_hull_ring(config.points) or config.points, config.points)
 
 
 def _least_image(ring: Sequence[Point], points: Iterable[Point]) -> tuple[Point, ...]:

@@ -49,11 +49,6 @@ class GridSpec:
         return (self.width + 1) * (self.height + 1)
 
 
-def enumerate_lattice_convex(grid: GridSpec) -> list[PointConfig]:
-    """All lattice-convex subsets of the grid, one per translation class, in the order of ``_classes``."""
-    return [PointConfig(2, points) for points, _ in _classes(grid)]
-
-
 def _classes(grid: GridSpec) -> list[tuple[tuple[Point, ...], list[Point]]]:
     """Each lattice-convex class of the grid as (sorted points, strict counterclockwise hull ring).
 
@@ -139,20 +134,6 @@ def is_p_good(config: PointConfig, subset_size: int) -> Optional[Point]:
 def _common_layer(deletions: list[SubsetSumTable], size: int) -> int:
     """The sums of ``size`` points that every deletion table reaches, as a bitset."""
     return reduce(and_, (table.layer(size) for table in deletions))
-
-
-def union_decomposition_holds(config: PointConfig, subset_size: int) -> bool:
-    """Does the hull of the wedge decompose into the hulls of the deleted-vertex wedges?
-
-    Checked at lattice level: every lattice point of conv of the full wedge
-    must lie in conv of the wedge of some one-vertex deletion.
-    """
-    if not 1 <= subset_size <= len(config):
-        raise ValueError("subset size must be between 1 and N")
-    if config.dim != 2:
-        raise DimensionError("union decomposition is checked for planar configurations")
-    base, deletions = _tables(config, subset_size)
-    return _hull_is_covered(base, deletions, subset_size, base.hull_count(subset_size))
 
 
 def _hull_is_covered(base: SubsetSumTable, deletions: list[SubsetSumTable], size: int, count: int) -> bool:

@@ -24,7 +24,7 @@ def render_svg(config: PointConfig, show_hull: bool = False) -> str:
     min_y, max_y = min(ys), max(ys)
     width = (max_x - min_x) * PITCH + 2 * MARGIN
     height = (max_y - min_y) * PITCH + 2 * MARGIN
-    digits = sys.get_int_max_str_digits()  # 0 when the interpreter sets no limit
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0 when the interpreter sets no limit
     if digits and max(width, height) >= 10**digits:
         raise ValueError(f"the drawing's size has more than {digits} digits, the limit on printing an integer")
 

@@ -114,8 +114,8 @@ class SubsetSumTable:
         held = min(depth + 1, len(points) - depth + 2) if _one_layer else depth + 1
         if self.total_cells * (held + 2) > TABLE_BIT_BUDGET:
             raise BudgetError(
-                f"subset-sum table needs {_abridged(self.total_cells)} cells x {held + 2} layers ({held} held and 2 in "
-                f"a shifted OR), above the table budget of {TABLE_BIT_BUDGET} bits"
+                f"subset-sum table needs {_abridged(self.total_cells)} cells x {held + 2} layers, "
+                f"above the table budget of {TABLE_BIT_BUDGET} bits"
             )
 
         self._one_layer = _one_layer

@@ -43,6 +43,10 @@ table from its own points (``per_deletion_tables``), which is the reference
 for the deletion tables that ``harness._tables`` grows from one shared
 stem, and they test the union decomposition on the union of the deletion
 tables' hull fills alone.
+
+First come names the package once exported but no command used, and two
+rebuilt from the harness's own parts (``library_classes``,
+``library_union_decomposition``) to meet the references of their old names.
 """
 
 import hashlib
@@ -58,12 +62,11 @@ from wedgepower import (
     PointConfig,
     apply_map,
     exceptional_triangle,
-    remove_vertex,
     vertex_set,
     wedge_power,
 )
 from wedgepower import harness
-from wedgepower.geometry import Point, _least_image, _xgcd, normal_form
+from wedgepower.geometry import Point, _least_image, _xgcd
 from wedgepower.harness import GridSpec, TheoremReport
 from wedgepower.wedge import SubsetSumTable as BitsetTable
 from wedgepower.wedge import hull_count, hull_fill
@@ -145,6 +148,54 @@ def random_unimodular(rng: random.Random, radius: int = 3, shift: int = 4) -> Af
         if a * d - b * c in (1, -1):
             t = (rng.randint(-shift, shift), rng.randint(-shift, shift))
             return AffineUnimodularMap(((a, b), (c, d)), t)
+
+
+# --- helpers that the package no longer exports ------------------------------
+
+
+def remove_vertex(config, vertex):
+    """``config`` without one of its vertices; an interior or absent point raises ValueError."""
+    v = tuple(vertex)
+    if v not in vertex_set(config):
+        raise ValueError(f"{v} is not a vertex of the configuration")
+    return PointConfig(config.dim, tuple(p for p in config.points if p != v))
+
+
+def normal_form(config):
+    """The least sorted image of a planar set over its least-keyed frames (``geometry._frames``).
+
+    Two sets are equivalent exactly when their normal forms are equal.
+    """
+    if config.dim != 2:
+        raise DimensionError("normal forms are for planar configurations")
+    return _least_image(_hull_ring(config.points) or config.points, config.points)
+
+
+def quadrant_points_below(functional, cap):
+    """All points of the nonnegative octant with value at most ``cap`` under a form of three positive coefficients."""
+    a, b, c = functional.coeffs
+    if min(a, b, c) <= 0:
+        raise ValueError("all coefficients must be strictly positive")
+    return PointConfig.of(
+        [
+            (x, y, z)
+            for x in range(cap // a + 1)
+            for y in range((cap - a * x) // b + 1)
+            for z in range((cap - a * x - b * y) // c + 1)
+        ],
+        dim=3,
+    )
+
+
+def library_classes(grid):
+    """The grid's translation classes as ``harness._classes`` lists them, as configurations."""
+    return [PointConfig(2, points) for points, _ in harness._classes(grid)]
+
+
+def library_union_decomposition(config, subset_size):
+    """The union decomposition at one size, as the grid run reads it (``harness._hull_is_covered``)."""
+    base, deletions = harness._tables(config, subset_size)
+    return harness._hull_is_covered(base, deletions, subset_size, base.hull_count(subset_size))
 
 
 # --- tuple-path references -------------------------------------------------

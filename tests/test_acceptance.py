@@ -17,9 +17,7 @@ from wedgepower import (
     SubsetSumTable,
     build_colored_simplex,
     check_lattice_convex,
-    enumerate_lattice_convex,
     is_p_good,
-    quadrant_points_below,
     verify_corner_cut,
     verify_counterexample,
     verify_grid,
@@ -30,6 +28,7 @@ from wedgepower import (
 from wedgepower.wedge import _reflect
 
 import oracles
+from oracles import library_classes, quadrant_points_below
 
 GRIDS = (GridSpec(2, 2), GridSpec(3, 2))
 
@@ -44,7 +43,7 @@ def _report(number: int, elapsed: float, message: str) -> None:
 @lru_cache(maxsize=None)
 def _grid_bundle(width: int, height: int):
     grid = GridSpec(width, height)
-    configs = enumerate_lattice_convex(grid)
+    configs = library_classes(grid)
     reports = [verify_polygon(c) for c in configs]
     summary = verify_grid(grid)
     return configs, reports, summary

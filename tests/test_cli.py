@@ -412,6 +412,13 @@ class TestRenderCommand:
         assert code == 0
         assert out == (DATA / f"render-hull-{name}.svg").read_text()
 
+    def test_an_interpreter_without_a_digit_limit_draws(self, capsys, monkeypatch):
+        # sys.get_int_max_str_digits first shipped in Python 3.10.7 and 3.11
+        monkeypatch.delattr(sys, "get_int_max_str_digits")
+        code, out, _ = run(capsys, "render", "--input", DATA / "exceptional-triangle-3.json", "--hull")
+        assert code == 0
+        assert out == (DATA / "render-hull-exceptional-triangle-3.svg").read_text()
+
     def test_collinear_hull_is_a_frozen_polyline(self, capsys, tmp_path):
         diagonal = tmp_path / "diagonal.json"
         diagonal.write_text('{"dim": 2, "points": [[0, 0], [1, 1], [2, 2]]}')
@@ -503,6 +510,19 @@ class TestErrorHandling:
         code, out, err = run(capsys, "check-convex", "--input", long)
         assert (code, out) == (1, "")
         assert err.startswith(f"error: {long}:") and "digits" in err
+
+    @pytest.mark.parametrize(
+        "argv", [["check-convex"], ["verify-polygon"], ["p-good", "-p", "1"], ["wedge", "-p", "3"]], ids=lambda a: a[0]
+    )
+    def test_a_table_budget_refusal_names_the_file(self, capsys, tmp_path, argv):
+        # a segment 3e9 long, and three 3D points near 10^4 for wedge -p 3
+        points = [[10000, 0, 0], [0, 9999, 1], [1, 2, 10000]] if argv[0] == "wedge" else [[0, 0], [1, 3000000000]]
+        far = tmp_path / "far.json"
+        far.write_text(json.dumps({"dim": len(points[0]), "points": points}))
+        code, out, err = run(capsys, *argv, "--input", far)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {far}: ") and "table budget" in err
+        assert err.count("\n") == 1 and len(err.encode()) < 200
 
     def test_huge_cell_count_is_abridged(self, capsys, tmp_path):
         # a 4,001-digit cell count, printed in full, made a 4 kB message
@@ -772,7 +792,7 @@ HOSTILE_FILES = {
 HOSTILE_RUNS = [
     pytest.param(["cornercut", "-d", "1", "-B", "1000000"], BUDGET, id="cornercut-bound"),
     pytest.param(["verify-grid", "--grid", "6x5"], BUDGET, id="grid-6x5"),
-    pytest.param(["check-convex", "--input", "far.json"], BUDGET, id="far-segment"),
+    pytest.param(["check-convex", "--input", "far.json"], "error: far.json: .*budget", id="far-segment"),
     pytest.param(["check-convex", "--input", "long.json"], "error: long.json: ", id="long-integer"),
     # a 4,001-digit bound and grid width
     pytest.param(["cornercut", "-d", "1", "-B", HUGE], BUDGET, id="bound-4001-digits"),

@@ -17,17 +17,16 @@ from wedgepower import (
     build_colored_simplex,
     check_lattice_convex,
     exceptional_triangle,
-    plane_coordinates,
-    quadrant_points_below,
     verify_counterexample,
     wedge_power,
     witness_point,
 )
 from wedgepower import counterexample3d
-from wedgepower.counterexample3d import _lowest_slice, _plane_chart, _plane_normal
-from wedgepower.geometry import _det
+from wedgepower.counterexample3d import _lowest_slice, _plane_normal
+from wedgepower.geometry import _det, _xgcd
 
 import oracles
+from oracles import quadrant_points_below
 
 
 @pytest.fixture(scope="module")
@@ -93,6 +92,42 @@ class TestQuadrantPointsBelow:
             quadrant_points_below(LinearFunctional((1, 0, 1)), 5)
         with pytest.raises(ValueError):
             quadrant_points_below(LinearFunctional((1, -1, 1)), 5)
+
+
+def plane_coordinates(config):
+    """Lattice coordinates of a coplanar 3D set: ``_plane_chart``'s rows applied to p - p0, for each point p.
+
+    With the plane's primitive normal the rows make a unimodular matrix, so
+    the plane's lattice points correspond exactly to integer pairs.
+    """
+    pts = config.points
+    if config.dim != 3 or len(pts) < 3:
+        raise ValueError("need at least three points in ambient dimension 3")
+    base = pts[0]
+    normals = (_plane_normal(base, b, c) for b, c in itertools.combinations(pts[1:], 2))
+    normal = next((n for n in normals if n is not None), None)
+    if normal is None:
+        raise ValueError("points are collinear, not a plane")
+    if len({sum(n * c for n, c in zip(normal, p)) for p in pts}) > 1:
+        raise ValueError("points are not coplanar")
+    rows = _plane_chart(normal)
+    return PointConfig.of([tuple(sum(r * (y - x) for r, x, y in zip(row, base, p)) for row in rows) for p in pts])
+
+
+def _plane_chart(normal):
+    """Two rows that complete a primitive normal (a, b, c) to a unimodular matrix.
+
+    With g = gcd(a, b) = a*x + b*y and g*s + c*t = 1, the rows (-y, x, 0)
+    and (-t*a/g, -t*b/g, s) together with the normal have determinant
+    s*g + c*t = 1.  The normal (0, 0, +-1), where g = 0, takes the x and y
+    rows instead.
+    """
+    a, b, c = normal
+    g, x, y = _xgcd(a, b)
+    if g == 0:
+        return (1, 0, 0), (0, 1, 0)
+    _, s, t = _xgcd(g, c)
+    return (-y, x, 0), (-t * a // g, -t * b // g, s)
 
 
 class TestPlaneCoordinates:

@@ -54,13 +54,10 @@ from wedgepower import (
     apply_map,
     are_equivalent,
     check_lattice_convex,
-    enumerate_lattice_convex,
     exception_index,
     exceptional_triangle,
     is_p_good,
-    normal_form,
     truncated_quadrant,
-    union_decomposition_holds,
     verify_grid,
     verify_polygon,
     wedge_power,
@@ -70,18 +67,19 @@ import wedgepower.wedge as wedge_module
 from wedgepower.wedge import _reflect, hull_count, hull_fill
 
 import oracles
+from oracles import library_classes, library_union_decomposition, normal_form
 
 GRIDS = (GridSpec(2, 2), GridSpec(3, 2))
 
 
 @pytest.fixture(scope="module")
 def grid_configs():
-    return [config for grid in GRIDS for config in enumerate_lattice_convex(grid)]
+    return [config for grid in GRIDS for config in library_classes(grid)]
 
 
 def test_enumeration_matches_the_mask_loop():
     for grid in GRIDS:
-        assert enumerate_lattice_convex(grid) == oracles.enumerate_lattice_convex(grid)
+        assert library_classes(grid) == oracles.enumerate_lattice_convex(grid)
 
 
 # every grid of at most 12 cells, single rows and columns among them, and the
@@ -92,14 +90,14 @@ SIXTEEN_CELL_GRIDS = [GridSpec(3, 3), GridSpec(7, 1), GridSpec(15, 0)]
 
 @pytest.mark.parametrize("grid", SMALL_GRIDS + SIXTEEN_CELL_GRIDS, ids=lambda g: f"{g.width}x{g.height}")
 def test_row_intervals_match_the_hull_fill_mask_loop(grid):
-    assert enumerate_lattice_convex(grid) == oracles.enumerate_by_masks(grid)
+    assert library_classes(grid) == oracles.enumerate_by_masks(grid)
 
 
 @pytest.mark.parametrize("grid", SMALL_GRIDS + [GridSpec(3, 3), GridSpec(4, 4)], ids=lambda g: f"{g.width}x{g.height}")
 def test_chains_match_the_prefix_count_enumerator(grid):
     # the oracle counts each prefix's hull on a bitset; the two share the row-interval
     # search and Pick's formula, so this checks the chains, not the search
-    assert enumerate_lattice_convex(grid) == oracles.enumerate_by_prefix_counts(grid)
+    assert library_classes(grid) == oracles.enumerate_by_prefix_counts(grid)
 
 
 @lru_cache(maxsize=None)
@@ -108,7 +106,7 @@ def _enumerated(size):
     grid = object.__new__(GridSpec)
     object.__setattr__(grid, "width", size)
     object.__setattr__(grid, "height", size)
-    return frozenset(config.points for config in enumerate_lattice_convex(grid))
+    return frozenset(config.points for config in library_classes(grid))
 
 
 def test_five_by_five_class_count():
@@ -148,7 +146,7 @@ def test_union_decomposition_matches(grid_configs):
     for config in grid_configs:
         for p in range(1, len(config) + 1):
             expected = oracles.union_decomposition_holds(config, p)
-            assert union_decomposition_holds(config, p) == expected, (config, p)
+            assert library_union_decomposition(config, p) == expected, (config, p)
 
 
 # --- the bitset predicate on random planar sets -----------------------------
@@ -530,7 +528,7 @@ def test_exception_index_matches_the_search(grid_configs):
 @pytest.mark.parametrize("grid, orbits", [(GRIDS[0], 20), (GRIDS[1], 62)])
 def test_grid_orbits(grid, orbits):
     members = {}
-    for config in enumerate_lattice_convex(grid):
+    for config in library_classes(grid):
         members.setdefault(normal_form(config), []).append(config)
     assert len(members) == orbits
     # the search finds a map within each orbit and none between orbits, and
@@ -641,7 +639,7 @@ def test_equivalence_maps_match_the_search_on_lines_and_points():
 
 def test_orbit_members_inherit_a_representative_problem(monkeypatch):
     grid = GRIDS[1]
-    configs = enumerate_lattice_convex(grid)
+    configs = library_classes(grid)
     target = normal_form(next(c for c in configs if len(c) == 6))
     examine = harness._examine_config
     examined = []
@@ -673,7 +671,7 @@ def orbit_representatives():
     """The first member of every normal-form orbit of the 2x2, 3x2 and 3x3 grids."""
     members = {}
     for grid in GRIDS + (GridSpec(3, 3),):
-        for config in enumerate_lattice_convex(grid):
+        for config in library_classes(grid):
             members.setdefault(normal_form(config), config)
     return list(members.values())
 
@@ -717,7 +715,7 @@ def test_half_depth_examination_matches_full_depth(config):
 
 
 def test_exception_index_agrees_with_the_normal_form_comparison():
-    for config in enumerate_lattice_convex(GridSpec(3, 3)):
+    for config in library_classes(GridSpec(3, 3)):
         assert exception_index(config) == oracles.exception_index_by_normal_form(config), config
     rng = random.Random(11)
     for k in range(1, 7):
@@ -745,10 +743,14 @@ def test_exception_index_agrees_with_the_normal_form_comparison_on_partial_trian
 
 
 def test_exception_index_turns_down_other_corner_counts_before_a_normal_form(monkeypatch):
-    def refuse(config):
-        raise AssertionError(f"normal form computed for {config}")
+    least_image = geometry._least_image
 
-    monkeypatch.setattr(geometry, "normal_form", refuse)
+    def corners_only(ring, points):  # a whole set's image is its normal form
+        if list(points) != list(ring):
+            raise AssertionError(f"normal form computed for {points}")
+        return least_image(ring, points)
+
+    monkeypatch.setattr(geometry, "_least_image", corners_only)
     square = PointConfig.of([(0, 0), (1, 0), (0, 1), (1, 1)])  # k = 1
     pentagon = PointConfig.of([(0, 0), (1, 0), (2, 1), (1, 2), (0, 1), (1, 1)])  # k = 3
     line = PointConfig.of([(x, 2 * x + 1) for x in range(5)])  # k = 2
@@ -779,7 +781,7 @@ def _assert_stem_tables_match(config, depth):
 
 
 def _assert_stem_tables_match_at_every_use(config):
-    """The depths the examination, is_p_good and union_decomposition_holds build at."""
+    """The depths the examination, is_p_good and library_union_decomposition build at."""
     n = len(config)
     for depth in sorted({n // 2, n} | set(range(1, n))):
         _assert_stem_tables_match(config, depth)
@@ -835,7 +837,7 @@ def test_rings_read_off_the_chains_are_the_hull_rings(grid):
 
 @pytest.mark.parametrize("grid", GRIDS + (GridSpec(3, 3), GridSpec(4, 4)), ids=lambda g: f"{g.width}x{g.height}")
 def test_corner_forms_make_the_normal_form_orbits(grid, monkeypatch):
-    configs = enumerate_lattice_convex(grid)
+    configs = library_classes(grid)
     by_corners, by_normal_form = {}, {}
     for config in configs:
         by_corners.setdefault(oracles.corner_form(config), []).append(config)

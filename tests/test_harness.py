@@ -9,12 +9,8 @@ from wedgepower import (
     BudgetError,
     GridSpec,
     PointConfig,
-    enumerate_lattice_convex,
     exceptional_triangle,
     is_p_good,
-    normal_form,
-    remove_vertex,
-    union_decomposition_holds,
     verify_grid,
     verify_polygon,
     vertex_set,
@@ -24,6 +20,7 @@ from wedgepower.harness import GridSummary, Violation, _hull_is_covered, _tables
 from wedgepower.wedge import SubsetSumTable
 
 import oracles
+from oracles import library_classes, library_union_decomposition, normal_form, remove_vertex
 
 # is_p_good returns the canonically smallest witness, so single-witness
 # examples can be asserted exactly.
@@ -36,7 +33,7 @@ def grid_config(n):
 
 class TestEnumeration:
     def test_single_cell(self):
-        assert len(enumerate_lattice_convex(GridSpec(0, 0))) == 1
+        assert len(library_classes(GridSpec(0, 0))) == 1
 
     def test_two_by_two_cells(self):
         # every nonempty subset of the unit square is lattice-convex ...
@@ -45,10 +42,10 @@ class TestEnumeration:
             for subset in itertools.combinations(cells, r):
                 assert oracles.is_lattice_convex(list(subset))
         # ... and the 15 subsets collapse to 10 translation classes
-        assert len(enumerate_lattice_convex(GridSpec(1, 1))) == 10
+        assert len(library_classes(GridSpec(1, 1))) == 10
 
     def test_three_by_three_cells_frozen_count(self):
-        configs = enumerate_lattice_convex(GridSpec(2, 2))
+        configs = library_classes(GridSpec(2, 2))
         assert len(configs) == 132
         for config in configs:
             assert oracles.is_lattice_convex(list(config.points))
@@ -56,17 +53,17 @@ class TestEnumeration:
             assert min(p[1] for p in config) == 0
 
     def test_four_by_three_cells_frozen_count(self):
-        assert len(enumerate_lattice_convex(GridSpec(3, 2))) == 420
+        assert len(library_classes(GridSpec(3, 2))) == 420
 
     def test_a_row_inside_may_be_empty(self):
         # the segment (0,0)-(1,2) has no lattice point on row 1
-        configs = enumerate_lattice_convex(GridSpec(1, 2))
+        configs = library_classes(GridSpec(1, 2))
         assert PointConfig.of([(0, 0), (1, 2)]) in configs
         assert len(configs) == 30
 
     def test_five_by_five_cells_frozen_counts(self):
         # 18,019 classes, as the mask loop over all 2^25 masks also finds
-        configs = enumerate_lattice_convex(GridSpec(4, 4))
+        configs = library_classes(GridSpec(4, 4))
         assert len(configs) == 18019
         assert len({normal_form(c) for c in configs}) == 1522
 
@@ -75,8 +72,8 @@ class TestEnumeration:
             GridSpec(5, 4)
 
     def test_enumeration_is_deterministic(self):
-        first = enumerate_lattice_convex(GridSpec(2, 1))
-        second = enumerate_lattice_convex(GridSpec(2, 1))
+        first = library_classes(GridSpec(2, 1))
+        second = library_classes(GridSpec(2, 1))
         assert first == second
 
 
@@ -96,7 +93,7 @@ class TestPGood:
 
     def test_enough_interior_points_give_goodness(self):
         # whenever at least p points are not vertices, their sum is a witness
-        for config in enumerate_lattice_convex(GridSpec(2, 2)):
+        for config in library_classes(GridSpec(2, 2)):
             if len(config) < 2:
                 continue
             vertices = set(vertex_set(config))
@@ -119,15 +116,15 @@ class TestPGood:
 
 class TestUnionDecomposition:
     def test_three_by_three_grid(self):
-        assert union_decomposition_holds(grid_config(3), 2)
+        assert library_union_decomposition(grid_config(3), 2)
 
     def test_first_exception_fails(self):
-        assert not union_decomposition_holds(exceptional_triangle(1), 2)
+        assert not library_union_decomposition(exceptional_triangle(1), 2)
 
     def test_segments(self):
         for n in (2, 3, 5):
             segment = PointConfig.of([(i, 0) for i in range(n)])
-            assert union_decomposition_holds(segment, 1)
+            assert library_union_decomposition(segment, 1)
 
     def test_failure_point_is_the_missing_origin(self):
         # for the first exception at size 2, the uncovered point is the origin

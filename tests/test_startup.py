@@ -110,7 +110,7 @@ print(json.dumps({
 """
     )
     assert outcome["same"] and all(outcome["same"])
-    assert len(outcome["all"]) == len(outcome["same"]) == 32
+    assert len(outcome["all"]) == len(outcome["same"]) == 26
     assert set(outcome["all"]) <= set(outcome["dir"])
 
 

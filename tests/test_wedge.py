@@ -310,10 +310,10 @@ class TestSubsetSumTable:
         one = SubsetSumTable(config.points, 4, _one_layer=True)
         assert (one.box_lo, one.box_hi, one.total_cells) == ((6,), (12,), 7)
         assert wedge_power(config, 4).points == ((6,), (7,), (8,), (9,), (10,))
-        with pytest.raises(BudgetError, match=r"7 cells x 7 layers \(5 held and 2 in a shifted OR\)"):
+        with pytest.raises(BudgetError, match=r"7 cells x 7 layers, above the table budget"):
             SubsetSumTable(config.points, 4)
         monkeypatch.setattr(wedge_module, "TABLE_BIT_BUDGET", 34)
-        with pytest.raises(BudgetError, match=r"7 cells x 5 layers \(3 held and 2 in a shifted OR\)"):
+        with pytest.raises(BudgetError, match=r"7 cells x 5 layers, above the table budget"):
             wedge_power(config, 4)
 
     def test_one_layer_feed_holds_no_more_layers_than_charged(self, monkeypatch):
